@@ -1,12 +1,12 @@
-// Result cache + incremental re-sweep: the interactive-workload benchmark.
+// Result cache + incremental splice: the interactive-workload benchmark.
 //
-// Two phases, both for the L-infinity square sweep and the L2 arc sweep:
+// Two phases, both for L∞ and L2 maps:
 //   * cache    — a batch of B distinct requests served by a cache-enabled
-//                HeatmapEngine, cold (every request sweeps) then warm (the
+//                HeatmapEngine, cold (every request paints) then warm (the
 //                same batch again: every request hits);
 //   * replay   — a HeatmapSession applying E random edits, refreshing the
 //                map after each tick via a full rebuild vs. the
-//                incremental re-sweep (dirty-slab splice).
+//                incremental dirty-window splice.
 //
 // Besides the text tables, the run writes a machine-readable summary to
 // BENCH_cache.json (override the path with RNNHM_BENCH_JSON_CACHE): one

@@ -1,8 +1,8 @@
 // HeatmapEngine throughput: a batch of B independent heat-map requests
-// served across worker counts and slab counts, for both the L-infinity
-// square sweep and the L2 arc sweep. Columns are wall-clock milliseconds
-// for the whole batch; the 1-thread/1-slab cell is the sequential
-// reference the others should beat.
+// served across worker counts and column-block counts ("slabs"), for L∞
+// and L2 maps. Columns are wall-clock milliseconds for the whole batch;
+// the 1-thread/1-slab cell is the sequential reference the others should
+// beat.
 //
 // Besides the text tables, the run writes a machine-readable summary to
 // BENCH_engine.json (override the path with RNNHM_BENCH_JSON) so CI can
@@ -114,9 +114,8 @@ void Run() {
   std::vector<JsonRecord> records;
   RunMetric(dataset, Metric::kLInf, batch, clients, facilities, resolution,
             &records);
-  // The arc sweep is costlier per request (crossing events are quadratic
-  // in the local overlap), so the L2 batch uses a smaller workload with a
-  // denser facility set (smaller disks, fewer crossings).
+  // The L2 batch keeps its smaller workload with a denser facility set
+  // (smaller disks), so its cells stay comparable across baselines.
   const size_t l2_clients = full ? 5000 : 800;
   RunMetric(dataset, Metric::kL2, batch, l2_clients,
             std::max<size_t>(1, l2_clients / 25), resolution, &records);

@@ -1,7 +1,8 @@
-// Slab-decomposition scaling of the L2 arc sweep: one big workload swept
-// with 1/2/4/8 shards, for the raster path (arc strip sink into a shared
-// grid) and the label path (counting sinks). The 1-shard column is the
-// sequential reference; the speedup column reports its ratio to the cell.
+// Parallel scaling of L2 heat maps: one big workload with 1/2/4/8 shards,
+// for the label path (the slab-decomposed arc sweep into counting sinks)
+// and the raster path (the column kernel's column blocks). The 1-shard
+// column is the sequential reference; the speedup column reports its
+// ratio to the cell.
 //
 // Set RNNHM_BENCH_FULL=1 for the larger workload.
 #include <cstdio>
@@ -12,7 +13,6 @@
 #include "core/crest_l2.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
-#include "heatmap/raster_sink.h"
 
 namespace rnnhm::bench {
 namespace {

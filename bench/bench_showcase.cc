@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "core/crest.h"
 #include "heatmap/heatmap.h"
+#include "nn/nn_circle_builder.h"
 #include "heatmap/image.h"
 #include "heatmap/influence.h"
 #include "heatmap/postprocess.h"
@@ -42,8 +43,9 @@ int main() {
         SampleWorkload(ds, num_clients, num_facilities, /*seed=*/1);
     Stopwatch sw;
     const Rect domain = BoundingBox(ds.points, 0.005);
-    const HeatmapGrid grid = BuildHeatmapL1(w.clients, w.facilities, measure,
-                                            domain, resolution, resolution);
+    const HeatmapGrid grid = BuildHeatmapForMetric(
+        Metric::kL1, BuildNnCircles(w.clients, w.facilities, Metric::kL1),
+        measure, domain, resolution, resolution);
     const double build_ms = sw.ElapsedMs();
 
     // Region statistics via the sweep's label stream.

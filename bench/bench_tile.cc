@@ -1,17 +1,17 @@
-// Domain tiling: the tile-partitioned sweep benchmark (ROADMAP item 1).
+// Domain tiling: the tile-partitioned raster benchmark.
 //
 // Two phases, each across the three metrics:
 //   * sweep — one full raster built untiled (BuildHeatmap*Parallel) vs.
 //             through a TilePlan at several grid sizes. The tiled build
-//             sweeps every tile over just the circles that can influence
+//             paints every tile over just the circles that can influence
 //             it, so the comparison shows what the per-tile circle
 //             narrowing buys (and what the per-tile fixed costs eat).
 //             Every tiled raster is checked bit-identical to the untiled
 //             one — the run aborts on any mismatch.
 //   * edit  — a cache-enabled HeatmapEngine serving the same request
 //             tiled, then again after one circle moved: the tile-granular
-//             cache keys resweep only the tiles the edit overlaps, while
-//             an untiled engine would resweep the whole raster.
+//             cache keys repaint only the tiles the edit overlaps, while
+//             an untiled engine would repaint the whole raster.
 //
 // Besides the text tables, the run writes a machine-readable summary to
 // BENCH_tile.json (override the path with RNNHM_BENCH_JSON_TILE): one

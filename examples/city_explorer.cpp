@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // Full-city heat map + zoom into the hottest region's neighborhood.
   const Rect domain = BoundingBox(city.points, 0.005);
   const HeatmapGrid overview =
-      BuildHeatmapL1(w.clients, w.facilities, measure, domain, 640, 640);
+      BuildHeatmapForMetric(Metric::kL1, circles, measure, domain, 640, 640);
   WritePpm(overview, "city_overview.ppm");
   if (!top.empty()) {
     const Point hot = RotateFromLInf(top[0].representative.Center());
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     const Rect window{{hot.x - zoom, hot.y - zoom},
                       {hot.x + zoom, hot.y + zoom}};
     const HeatmapGrid detail =
-        BuildHeatmapL1(w.clients, w.facilities, measure, window, 512, 512);
+        BuildHeatmapForMetric(Metric::kL1, circles, measure, window, 512, 512);
     WritePpm(detail, "city_zoom.ppm");
     std::printf("\nwrote city_overview.ppm and city_zoom.ppm (zoom at "
                 "%.4f, %.4f)\n", hot.x, hot.y);

@@ -71,7 +71,9 @@ int main() {
   // Render the capacity heat map.
   const Rect domain = BoundingBox(city.points, 0.01);
   const HeatmapGrid grid =
-      BuildHeatmapL1(w.clients, w.facilities, measure, domain, 512, 512);
+      BuildHeatmapForMetric(Metric::kL1,
+                            BuildNnCircles(w.clients, w.facilities, Metric::kL1),
+                            measure, domain, 512, 512);
   WritePpm(grid, "courier_heatmap.ppm");
   std::printf("wrote courier_heatmap.ppm\n");
   return 0;

@@ -52,7 +52,9 @@ int main() {
 
   // 5. A heat-map image of the whole space (plus a terminal preview).
   const HeatmapGrid grid =
-      BuildHeatmapL1(clients, facilities, measure, domain, 512, 512);
+      BuildHeatmapForMetric(Metric::kL1,
+                            BuildNnCircles(clients, facilities, Metric::kL1),
+                            measure, domain, 512, 512);
   std::printf("\n%s", RenderAscii(grid, 64, 20).c_str());
   if (WritePpm(grid, "quickstart_heatmap.ppm")) {
     std::printf("\nwrote quickstart_heatmap.ppm (max influence %.0f)\n",

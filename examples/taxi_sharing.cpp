@@ -75,8 +75,9 @@ int main() {
   }
 
   // Render both maps for visual comparison.
-  const HeatmapGrid heat = BuildHeatmapL1(passengers, taxis, connected,
-                                          domain, 512, 512);
+  const HeatmapGrid heat = BuildHeatmapForMetric(
+      Metric::kL1, BuildNnCircles(passengers, taxis, Metric::kL1), connected,
+      domain, 512, 512);
   WritePpm(heat, "taxi_heatmap.ppm");
   WritePpm(overlay, "taxi_superimposition.ppm");
   std::printf("\nwrote taxi_heatmap.ppm and taxi_superimposition.ppm\n");

@@ -103,7 +103,6 @@ class Sweep {
     handles_upper_.assign(n, Handle{});
     records_.assign(2 * n, {});
     has_record_.assign(2 * n, 0);
-    values_.assign(2 * n, 0.0);
     universe_ = 0;
     for (const ColoredRect& r : rects_) {
       universe_ = std::max(universe_, r.client + 1);
@@ -115,15 +114,9 @@ class Sweep {
     BaseSet base(universe_);
     std::vector<ChangedInterval> intervals;
     size_t i = 0;
-    double prev_x = 0.0;
-    bool have_prev = false;
     while (i < sides_.size()) {
       const double x = sides_[i].x;
       ++stats_.num_events;
-      // Emit the finished strip [prev_x, x] before mutating the status.
-      if (options_.strip_sink != nullptr && have_prev && prev_x < x) {
-        EmitStrip(prev_x, x);
-      }
       // Apply every side with this x-coordinate (one event, Section V-A).
       intervals.clear();
       for (; i < sides_.size() && sides_[i].x == x; ++i) {
@@ -155,8 +148,6 @@ class Sweep {
       } else {
         ProcessWholeStatus(x, next_x, base);
       }
-      prev_x = x;
-      have_prev = true;
     }
     return stats_;
   }
@@ -199,15 +190,6 @@ class Sweep {
       const int32_t key = KeyOf(Status::Value(prev));
       RNNHM_DCHECK(has_record_[key]);
       base.Assign(records_[key]);
-      // The pair (prev, st) may have just become valid with a different
-      // second element (e.g. prev was the topmost element and an insertion
-      // above revived it); its set is unchanged — prev's record — but the
-      // per-pair value cache keyed by prev can be stale from an older
-      // pair. Refresh it for the rasterizer without counting a labeling.
-      if (options_.strip_sink != nullptr &&
-          Status::Key(prev) < Status::Key(st)) {
-        values_[key] = measure_.Evaluate(records_[key]);
-      }
     }
     Walk(st, end, x, next_x, base, /*maintain_records=*/true);
   }
@@ -224,7 +206,6 @@ class Sweep {
   // (strictly increasing y) is labeled with the current set.
   void Walk(Handle st, Handle end, double x, double next_x, BaseSet& base,
             bool maintain_records) {
-    Handle last = status_.End();
     for (Handle node = st; node != end; node = status_.Next(node)) {
       ++stats_.num_elements_walked;
       const SideElement& e = Status::Value(node);
@@ -241,7 +222,6 @@ class Sweep {
         base.CopyTo(scratch_);
         const double influence = measure_.Evaluate(scratch_);
         ++stats_.num_labelings;
-        values_[key] = influence;
         sink_->OnRegionLabel(
             Rect{{x, Status::Key(node)}, {next_x, Status::Key(nxt)}},
             scratch_, influence);
@@ -260,35 +240,9 @@ class Sweep {
           has_record_[key] = 1;
         }
       }
-      last = node;
     }
-    // Interval-boundary pair (last, end): its region is unchanged, so it is
-    // deliberately not relabeled (Lemma 2). When rasterizing, though, the
-    // per-pair value cache is keyed by the pair's *first* element, which may
-    // have just changed identity — refresh it without counting a labeling.
-    if (options_.strip_sink != nullptr && maintain_records &&
-        last != status_.End() && end != status_.End() &&
-        Status::Key(last) < Status::Key(end)) {
-      base.CopyTo(scratch_);
-      values_[KeyOf(Status::Value(last))] = measure_.Evaluate(scratch_);
-    }
-  }
-
-  // Reports every valid pair of the current status as a heat span for the
-  // strip [x0, x1]. Influence values are read from the per-pair cache; any
-  // currently valid pair was labeled when its set last changed, so the
-  // cache is fresh (see DESIGN.md).
-  void EmitStrip(double x0, double x1) {
-    for (Handle node = status_.First(); node != status_.End();
-         node = status_.Next(node)) {
-      Handle nxt = status_.Next(node);
-      if (nxt == status_.End()) break;
-      if (Status::Key(node) < Status::Key(nxt)) {
-        options_.strip_sink->OnSpan(x0, x1, Status::Key(node),
-                                    Status::Key(nxt),
-                                    values_[KeyOf(Status::Value(node))]);
-      }
-    }
+    // The interval-boundary pair (last element, end) bounds an unchanged
+    // region, so it is deliberately not relabeled (Lemma 2).
   }
 
   const InfluenceMeasure& measure_;
@@ -301,7 +255,6 @@ class Sweep {
   std::vector<Handle> handles_upper_;
   std::vector<std::vector<int32_t>> records_;  // cached RNN set per element
   std::vector<uint8_t> has_record_;
-  std::vector<double> values_;  // cached influence per valid pair
   std::vector<int32_t> scratch_;
   int32_t universe_ = 0;
   CrestStats stats_;

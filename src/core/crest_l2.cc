@@ -94,7 +94,6 @@ class SweepL2 {
     live_index_.assign(n, -1);
     succ_of_.assign(2 * n, kNoArc);
     involved_.assign(2 * n, 0);
-    region_influence_.assign(2 * n, 0.0);
   }
 
   CrestL2Stats Run() {
@@ -176,13 +175,6 @@ class SweepL2 {
       const double next_x = i < events_.size() ? events_[i].x : x;
       if (needs_checkpoint) {
         Checkpoint(x, next_x, base);
-      }
-      // Rasterize the strip up to the next event. Checkpoints skip groups
-      // with no structural change (center events preserve order and region
-      // contents), but every strip must still be painted; the cached
-      // per-pair influence makes that free of influence evaluations.
-      if (options_.arc_sink != nullptr && x < next_x) {
-        EmitStrip(x, next_x);
       }
     }
     return stats_;
@@ -353,7 +345,6 @@ class SweepL2 {
         base.CopyTo(scratch_);
         const double influence = measure_.Evaluate(scratch_);
         ++stats_.num_labelings;
-        region_influence_[KeyOf(arc)] = influence;
         const double y0 = ArcY(sorted_[t], xm);
         const double y1 = ArcY(sorted_[t + 1], xm);
         sink_->OnRegionLabel(
@@ -363,27 +354,6 @@ class SweepL2 {
       const int32_t key = KeyOf(arc);
       base.CopyTo(records_[key]);
       has_record_[key] = 1;
-    }
-  }
-
-  // Reports every adjacent-arc region of the strip [x, next_x) to the arc
-  // sink. Influence values come from the per-pair cache maintained by
-  // ProcessRange: a pair missing from this checkpoint's dirty runs bounds a
-  // region whose contents have not changed since it was last labeled, so
-  // its cached value is current. The regions below the lowest and above the
-  // highest arc carry the empty RNN set, whose influence the sink's grid
-  // holds as background.
-  void EmitStrip(double x, double next_x) {
-    const int m = static_cast<int>(sorted_.size());
-    for (int t = 0; t + 1 < m; ++t) {
-      const SweepDisk& dl = disks_[sorted_[t].disk];
-      const SweepDisk& du = disks_[sorted_[t + 1].disk];
-      options_.arc_sink->OnArcStrip(
-          x, next_x,
-          ArcStripSink::ArcGeom{dl.center, dl.radius, sorted_[t].is_upper},
-          ArcStripSink::ArcGeom{du.center, du.radius,
-                                sorted_[t + 1].is_upper},
-          region_influence_[KeyOf(sorted_[t])]);
     }
   }
 
@@ -403,11 +373,25 @@ class SweepL2 {
   std::vector<int32_t> involved_keys_;
   std::vector<std::vector<int32_t>> records_;
   std::vector<uint8_t> has_record_;
-  std::vector<double> region_influence_;  // per arc key: region above it
   std::vector<int32_t> scratch_;
   int32_t universe_ = 0;
   CrestL2Stats stats_;
 };
+
+// The coordinate span that scales the sweep's simultaneous-event grouping
+// epsilon, derived from the full disk set exactly as the sequential sweep
+// derives it; every parallel shard passes it via
+// CrestL2Options::event_group_span so its event groups match the
+// sequential sweep's bit for bit.
+double DiskEventGroupSpan(const std::vector<NnCircle>& circles) {
+  double span = 0.0;
+  for (const NnCircle& c : circles) {
+    if (c.radius > 0.0) {
+      span = std::max(span, std::fabs(c.center.x) + c.radius);
+    }
+  }
+  return span;
+}
 
 }  // namespace
 
@@ -577,28 +561,6 @@ CrestL2Stats RunCrestL2Parallel(const std::vector<NnCircle>& circles,
   return RunCrestL2Parallel(
       circles, std::span<const InfluenceMeasure* const>(measures),
       shard_sinks, options);
-}
-
-CrestL2Stats RunCrestL2ParallelStrips(const std::vector<NnCircle>& circles,
-                                      const InfluenceMeasure& measure,
-                                      int num_slabs,
-                                      const CrestL2Options& options) {
-  RNNHM_CHECK(num_slabs >= 1);
-  std::vector<CountingSink> counters(num_slabs);
-  std::vector<RegionLabelSink*> sinks;
-  sinks.reserve(counters.size());
-  for (CountingSink& c : counters) sinks.push_back(&c);
-  return RunCrestL2Parallel(circles, measure, sinks, options);
-}
-
-double DiskEventGroupSpan(const std::vector<NnCircle>& circles) {
-  double span = 0.0;
-  for (const NnCircle& c : circles) {
-    if (c.radius > 0.0) {
-      span = std::max(span, std::fabs(c.center.x) + c.radius);
-    }
-  }
-  return span;
 }
 
 }  // namespace rnnhm

@@ -37,35 +37,8 @@ struct CrestL2Stats {
   size_t num_labelings = 0;         ///< k: labelings = influence evals
 };
 
-/// Receiver of the curved analogue of StripSink spans: the region between
-/// two vertically adjacent arcs over one sweep strip. Consumers evaluate
-/// the arc ordinates themselves (ArcYAt) wherever they need them — e.g. a
-/// rasterizer samples both arcs at each pixel-column center, which is what
-/// makes the painted grid independent of how strips were subdivided.
-/// Strips of one sweep tile its x-range; regions of one strip tile the
-/// y-range between the lowest and highest live arc.
-class ArcStripSink {
- public:
-  /// One bounding arc: the lower or upper semicircle of a disk.
-  struct ArcGeom {
-    Point center;
-    double radius = 0.0;
-    bool is_upper = false;
-  };
-
-  virtual ~ArcStripSink() = default;
-
-  /// The region between `lower` and `upper` over x in [x0, x1) carries
-  /// `influence`. At every x in the strip, lower's ordinate is <= upper's.
-  virtual void OnArcStrip(double x0, double x1, const ArcGeom& lower,
-                          const ArcGeom& upper, double influence) = 0;
-};
-
-/// Tuning knobs and hooks for an L2 sweep run.
+/// Tuning knobs for an L2 sweep run.
 struct CrestL2Options {
-  /// Optional rasterization hook; receives every adjacent-arc region of
-  /// every strip (curved analogue of CrestOptions::strip_sink).
-  ArcStripSink* arc_sink = nullptr;
   /// Sweep only the vertical slab [clip_lo, clip_hi): disks are clipped to
   /// the slab (arcs entering it behave like a sweep starting mid-way), and
   /// events outside it are dropped. Defaults sweep the whole plane. Used by
@@ -98,11 +71,7 @@ CrestL2Stats RunCrestL2(const std::vector<NnCircle>& circles,
 /// to each slab they overlap — x-extremes, centers and pairwise boundary
 /// intersections inside a slab stay events there, so per-slab labels are
 /// correct region labels; a region spanning a boundary is labeled once per
-/// slab it touches (same RNN set). `options.arc_sink`, when set, receives
-/// strips from all shards concurrently; shard strips never overlap in x
-/// (half-open slabs), so RasterArcSink painting a shared grid is safe and
-/// the raster is bit-identical to a sequential sweep's for measures whose
-/// value does not depend on RNN-set iteration order.
+/// slab it touches (same RNN set).
 /// `options.clip_lo`/`clip_hi` must be left at their defaults — the driver
 /// owns the slab decomposition. Returns the per-shard sums; num_circles and
 /// num_skipped_circles are global counts matching the sequential sweep.
@@ -120,14 +89,6 @@ CrestL2Stats RunCrestL2Parallel(
     std::span<RegionLabelSink* const> shard_sinks,
     const CrestL2Options& options = {});
 
-/// Convenience for callers that only consume `options.arc_sink` output
-/// (parallel rasterization): sweeps with `num_slabs` shards, discarding the
-/// region labels through private counting sinks. Returns the summed stats.
-CrestL2Stats RunCrestL2ParallelStrips(const std::vector<NnCircle>& circles,
-                                      const InfluenceMeasure& measure,
-                                      int num_slabs,
-                                      const CrestL2Options& options = {});
-
 /// Slab cuts for the parallel L2 sweep: `shards` + 1 ascending boundaries
 /// (outer two infinite) at weighted quantiles of the estimated *event
 /// density*. Per-disk events (x-extremes, centers) weigh 1 each; pairwise
@@ -137,20 +98,11 @@ CrestL2Stats RunCrestL2ParallelStrips(const std::vector<NnCircle>& circles,
 /// builder), each observation weighted by the inverse sampling rate. A hot
 /// intersection cluster thus splits across slabs instead of serializing
 /// one, where plain x-extreme quantiles would underweight it. Boundaries
-/// affect load balance only, never output: the raster sinks' center
-/// sampling keeps grids bit-identical for every decomposition. No RNG —
-/// identical inputs always cut identically.
+/// affect load balance only, never the set of distinct region labels. No
+/// RNG — identical inputs always cut identically.
 std::vector<double> SlabBoundariesL2(const std::vector<NnCircle>& circles,
                                      size_t shards,
                                      size_t crossing_sample_cap = 256);
-
-/// The coordinate span that scales the sweep's simultaneous-event grouping
-/// epsilon, derived from the full disk set exactly as the sequential sweep
-/// derives it. Any clipped sweep over a subset of the plane (a parallel
-/// shard, an incremental dirty slab) must pass this via
-/// `CrestL2Options::event_group_span` so its event groups match the
-/// sequential sweep's bit for bit.
-double DiskEventGroupSpan(const std::vector<NnCircle>& circles);
 
 }  // namespace rnnhm
 

@@ -108,80 +108,6 @@ CrestStats RunCrestParallel(const std::vector<NnCircle>& circles,
                           shard_sinks, options);
 }
 
-CrestStats RunCrestParallelStrips(const std::vector<NnCircle>& circles,
-                                  const InfluenceMeasure& measure,
-                                  int num_slabs,
-                                  const CrestOptions& options) {
-  RNNHM_CHECK(num_slabs >= 1);
-  std::vector<CountingSink> counters(num_slabs);
-  std::vector<RegionLabelSink*> sinks;
-  sinks.reserve(counters.size());
-  for (CountingSink& c : counters) sinks.push_back(&c);
-  return RunCrestParallel(circles, measure, sinks, options);
-}
-
-CrestStats RunCrestSlab(const std::vector<NnCircle>& circles,
-                        const InfluenceMeasure& measure,
-                        RegionLabelSink* sink, double clip_lo, double clip_hi,
-                        const CrestOptions& options) {
-  RNNHM_CHECK_MSG(clip_lo < clip_hi, "slab needs clip_lo < clip_hi");
-  // Clip exactly like a RunCrestParallel shard: intersect each bounding
-  // square with the slab, keep it only when the overlap has positive width.
-  std::vector<ColoredRect> clipped;
-  size_t skipped = 0;
-  for (const NnCircle& c : circles) {
-    if (c.radius <= 0.0) {
-      ++skipped;
-      continue;
-    }
-    const Rect box = c.Bounds();
-    const double cl = std::max(box.lo.x, clip_lo);
-    const double ch = std::min(box.hi.x, clip_hi);
-    if (cl < ch) {
-      clipped.push_back(
-          ColoredRect{Rect{{cl, box.lo.y}, {ch, box.hi.y}}, c.client});
-    }
-  }
-  CrestStats stats = RunRegionColoring(clipped, measure, sink, options);
-  stats.num_circles = circles.size() - skipped;
-  stats.num_skipped_circles = skipped;
-  return stats;
-}
-
-MetricSweepStats RunCrestSlabMetric(Metric metric,
-                                    const std::vector<NnCircle>& circles,
-                                    const InfluenceMeasure& measure,
-                                    RegionLabelSink* sink, double clip_lo,
-                                    double clip_hi,
-                                    const CrestOptions& crest_options,
-                                    const CrestL2Options& l2_options) {
-  MetricSweepStats stats;
-  switch (metric) {
-    case Metric::kLInf:
-      stats.crest = RunCrestSlab(circles, measure, sink, clip_lo, clip_hi,
-                                 crest_options);
-      break;
-    case Metric::kL1:
-      RNNHM_CHECK_MSG(false,
-                      "kL1 sweeps the rotated frame; slab sweeps of the "
-                      "original frame are not defined for it");
-      break;
-    case Metric::kL2: {
-      CrestL2Options slab = l2_options;
-      slab.clip_lo = clip_lo;
-      slab.clip_hi = clip_hi;
-      // Event groups must match the unclipped sweep (same contract as the
-      // parallel shards).
-      if (slab.event_group_span < 0.0) {
-        slab.event_group_span = DiskEventGroupSpan(circles);
-      }
-      stats.l2 = RunCrestL2(circles, measure, sink, slab);
-      break;
-    }
-  }
-  return stats;
-}
-
 MetricSweepStats RunCrestParallelMetric(
     Metric metric, const std::vector<NnCircle>& circles,
     const InfluenceMeasure& measure,

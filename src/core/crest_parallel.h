@@ -7,8 +7,8 @@
 // clipped at a slab edge behaves exactly like a sweep entering mid-way, so
 // per-slab labelings are correct region labels. A region spanning a slab
 // boundary is labeled once per slab it touches (bounded duplication, same
-// RNN set), which distinct-set, top-k, threshold and raster sinks all
-// absorb by construction.
+// RNN set), which distinct-set, top-k and threshold sinks all absorb by
+// construction.
 //
 // Thread-safety contract: each shard writes only to its own sink; the
 // InfluenceMeasure is shared and must be safe for concurrent Evaluate
@@ -32,18 +32,14 @@ namespace rnnhm {
 // exclusively — its sink `shard_sinks[s]`, its stats slot, and (in the
 // per-shard-measure overload) its measure instance — and the slab
 // partition hands every worker a disjoint x-range of the arrangement.
-// The only shared object is an optional strip sink, whose contract below
-// makes concurrent spans non-overlapping. The TSan CI job (RNNHM_TSAN)
+// The TSan CI job (RNNHM_TSAN)
 // is the checker for this path: a worker reaching outside its shard is a
 // data race it reports, where a mutex-based design would rely on the
 // annotations in common/mutex.h instead.
 
 /// Sweeps the L-infinity NN-circles with one thread per sink in
 /// `shard_sinks`; shard i labels the regions of slab i through sink i.
-/// Returns the summed per-shard statistics. `options.strip_sink`, when
-/// set, receives spans from all shards concurrently; the spans of
-/// different shards never overlap (half-open strips), so RasterStripSink
-/// painting a shared grid is safe.
+/// Returns the summed per-shard statistics.
 CrestStats RunCrestParallel(const std::vector<NnCircle>& circles,
                             const InfluenceMeasure& measure,
                             std::span<RegionLabelSink* const> shard_sinks,
@@ -57,14 +53,6 @@ CrestStats RunCrestParallel(
     std::span<const InfluenceMeasure* const> shard_measures,
     std::span<RegionLabelSink* const> shard_sinks,
     const CrestOptions& options = {});
-
-/// Convenience for callers that only consume `options.strip_sink` output
-/// (parallel rasterization): sweeps with `num_slabs` shards, discarding the
-/// region labels through private counting sinks. Returns the summed stats.
-CrestStats RunCrestParallelStrips(const std::vector<NnCircle>& circles,
-                                  const InfluenceMeasure& measure,
-                                  int num_slabs,
-                                  const CrestOptions& options = {});
 
 /// Counters of a metric-dispatched parallel sweep: exactly one of the two
 /// members is populated, depending on which sweep ran.
@@ -90,35 +78,6 @@ MetricSweepStats RunCrestParallelMetric(
     std::span<RegionLabelSink* const> shard_sinks,
     const CrestOptions& crest_options = {},
     const CrestL2Options& l2_options = {});
-
-/// Sweeps exactly one vertical slab [clip_lo, clip_hi) of the L-infinity
-/// arrangement on the calling thread: every circle's bounding square is
-/// clipped to the slab (identical to one shard of RunCrestParallel) and the
-/// clipped arrangement is swept sequentially. Labels are correct region
-/// labels of the full arrangement restricted to the slab;
-/// `options.strip_sink` receives only spans inside the slab. This is the
-/// building block of the incremental re-sweep (heatmap/incremental.h),
-/// which retains a raster and re-runs only the slabs an edit dirtied.
-/// Requires clip_lo < clip_hi (both finite).
-CrestStats RunCrestSlab(const std::vector<NnCircle>& circles,
-                        const InfluenceMeasure& measure,
-                        RegionLabelSink* sink, double clip_lo, double clip_hi,
-                        const CrestOptions& options = {});
-
-/// Metric-dispatched single-slab sweep: kLInf clips squares and runs
-/// RunCrestSlab, kL2 clips disks via CrestL2Options::clip_lo/clip_hi and
-/// runs the arc sweep (with the event-grouping span derived from the full
-/// input, so event groups match the unclipped sweep exactly). kL1 is not
-/// supported — its sweep runs in the pi/4-rotated frame, where a vertical
-/// slab of the original frame is not a vertical slab (callers fall back to
-/// a full rebuild; see HeatmapSession::RasterIncremental).
-MetricSweepStats RunCrestSlabMetric(Metric metric,
-                                    const std::vector<NnCircle>& circles,
-                                    const InfluenceMeasure& measure,
-                                    RegionLabelSink* sink, double clip_lo,
-                                    double clip_hi,
-                                    const CrestOptions& crest_options = {},
-                                    const CrestL2Options& l2_options = {});
 
 }  // namespace rnnhm
 

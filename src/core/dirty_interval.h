@@ -1,14 +1,14 @@
-// Dirty x-interval tracking for incremental re-sweeps.
+// Dirty-region tracking for incremental rasters.
 //
 // The paper frames heat maps as an interactive exploration tool: a session
 // edit (move a client, add a facility, ...) perturbs a handful of
-// NN-circles, yet a from-scratch Rebuild re-sweeps everything. Because the
+// NN-circles, yet a from-scratch rebuild repaints everything. Because the
 // influence at a point p can only change when p's membership in one of the
-// *edited* circles changes, the x-extents of the edited circles' old and
-// new footprints bound every pixel column whose value may differ. A
-// DirtyIntervalSet accumulates those extents across edits; the incremental
-// rasterizer (heatmap/incremental.h) then re-sweeps only the slabs they
-// cover and splices the recomputed columns into the retained grid.
+// *edited* circles changes, the extents of the edited circles' old and
+// new footprints bound every pixel whose value may differ. The sets below
+// accumulate those extents across edits; the incremental rasterizer
+// (heatmap/incremental.h) then repaints only the pixels they cover in the
+// retained grid.
 #ifndef RNNHM_CORE_DIRTY_INTERVAL_H_
 #define RNNHM_CORE_DIRTY_INTERVAL_H_
 

@@ -4,7 +4,7 @@
 // work through a RegionLabelSink: one callback per region labeling, carrying
 // a representative rectangle, the region's RNN set, and its influence under
 // the configured measure. Common sinks (max tracking, counting, collecting)
-// are provided here; the heat-map rasterizer in heatmap/ is another sink.
+// are provided here.
 #ifndef RNNHM_CORE_LABEL_SINK_H_
 #define RNNHM_CORE_LABEL_SINK_H_
 
@@ -29,17 +29,6 @@ class RegionLabelSink {
   virtual void OnRegionLabel(const Rect& subregion,
                              std::span<const int32_t> rnn,
                              double influence) = 0;
-};
-
-/// Receiver of exact vertical heat spans, used for rasterization.
-/// For each strip between consecutive sweep events, the sweep reports every
-/// valid pair once: the strip's x-range, the pair's y-range and the cached
-/// influence of the region. Spans tile each strip exactly.
-class StripSink {
- public:
-  virtual ~StripSink() = default;
-  virtual void OnSpan(double x0, double x1, double y0, double y1,
-                      double influence) = 0;
 };
 
 /// Tracks the maximum influence seen and one witness region.

@@ -17,36 +17,6 @@ std::string MetricName(Metric metric) {
   return "?";
 }
 
-double DistanceLInf(const Point& a, const Point& b) {
-  return std::max(std::fabs(a.x - b.x), std::fabs(a.y - b.y));
-}
-
-double DistanceL1(const Point& a, const Point& b) {
-  return std::fabs(a.x - b.x) + std::fabs(a.y - b.y);
-}
-
-double DistanceL2(const Point& a, const Point& b) {
-  return std::sqrt(DistanceL2Squared(a, b));
-}
-
-double DistanceL2Squared(const Point& a, const Point& b) {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  return dx * dx + dy * dy;
-}
-
-double Distance(const Point& a, const Point& b, Metric metric) {
-  switch (metric) {
-    case Metric::kLInf:
-      return DistanceLInf(a, b);
-    case Metric::kL1:
-      return DistanceL1(a, b);
-    case Metric::kL2:
-      return DistanceL2(a, b);
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 Rect Rect::Union(const Rect& o) const {
   return Rect{{std::min(lo.x, o.lo.x), std::min(lo.y, o.lo.y)},
               {std::max(hi.x, o.hi.x), std::max(hi.y, o.hi.y)}};
@@ -74,8 +44,14 @@ Rect EmptyRect() {
   return Rect{{inf, inf}, {-inf, -inf}};
 }
 
-bool NnCircle::Contains(const Point& q, Metric metric) const {
-  return Distance(center, q, metric) <= radius;
+bool IsFinite(const NnCircle& circle) {
+  return std::isfinite(circle.center.x) && std::isfinite(circle.center.y) &&
+         std::isfinite(circle.radius);
+}
+
+bool IsFinite(const Rect& rect) {
+  return std::isfinite(rect.hi.x - rect.lo.x) &&
+         std::isfinite(rect.hi.y - rect.lo.y);
 }
 
 Point RotateToLInf(const Point& p) {

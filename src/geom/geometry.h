@@ -7,6 +7,8 @@
 #ifndef RNNHM_GEOM_GEOMETRY_H_
 #define RNNHM_GEOM_GEOMETRY_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -27,18 +29,39 @@ struct Point {
   friend bool operator==(const Point&, const Point&) = default;
 };
 
-/// Distance between two points under the given metric.
-/// For efficiency-critical inner loops prefer the metric-specific overloads.
-double Distance(const Point& a, const Point& b, Metric metric);
-
 /// L-infinity (Chebyshev) distance.
-double DistanceLInf(const Point& a, const Point& b);
+inline double DistanceLInf(const Point& a, const Point& b) {
+  return std::max(std::fabs(a.x - b.x), std::fabs(a.y - b.y));
+}
 /// L1 (Manhattan) distance.
-double DistanceL1(const Point& a, const Point& b);
-/// Euclidean distance.
-double DistanceL2(const Point& a, const Point& b);
+inline double DistanceL1(const Point& a, const Point& b) {
+  return std::fabs(a.x - b.x) + std::fabs(a.y - b.y);
+}
 /// Squared Euclidean distance (avoids the sqrt for comparisons).
-double DistanceL2Squared(const Point& a, const Point& b);
+inline double DistanceL2Squared(const Point& a, const Point& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
+/// Euclidean distance.
+inline double DistanceL2(const Point& a, const Point& b) {
+  return std::sqrt(DistanceL2Squared(a, b));
+}
+
+/// Distance between two points under the given metric. Defined inline,
+/// like the metric-specific forms: NnCircle::Contains is the raster
+/// kernel's innermost predicate.
+inline double Distance(const Point& a, const Point& b, Metric metric) {
+  switch (metric) {
+    case Metric::kLInf:
+      return DistanceLInf(a, b);
+    case Metric::kL1:
+      return DistanceL1(a, b);
+    case Metric::kL2:
+      return DistanceL2(a, b);
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
 
 /// Closed axis-aligned rectangle [lo.x, hi.x] x [lo.y, hi.y].
 struct Rect {
@@ -83,7 +106,9 @@ Rect EmptyRect();
 /// The NN-circle of a client (Section III-A): center = the client location,
 /// radius = distance from the client to its nearest facility, measured in
 /// the active metric. `Bounds()` gives the axis-aligned bounding box, which
-/// *is* the NN-circle for L-infinity.
+/// *is* the NN-circle for L-infinity. A negative radius (never produced by
+/// the NN-circle builders) denotes a circle that contains no point:
+/// Contains is false everywhere, so every sweep and raster skips it.
 struct NnCircle {
   Point center;
   double radius = 0.0;
@@ -97,8 +122,18 @@ struct NnCircle {
   }
   /// True iff q is inside the circle under `metric` (closed: boundary
   /// counts, matching d(o, f) <= d(o, f') in the RNN definition).
-  bool Contains(const Point& q, Metric metric) const;
+  bool Contains(const Point& q, Metric metric) const {
+    return Distance(center, q, metric) <= radius;
+  }
 };
+
+/// True iff the circle's center and radius are finite — the ingress
+/// condition the wire decoders and CircleSetRegistry enforce.
+bool IsFinite(const NnCircle& circle);
+
+/// True iff the rectangle's corners and extents are finite (an overflowing
+/// extent would make the pixel pitch infinite).
+bool IsFinite(const Rect& rect);
 
 /// Rotates a point counter-clockwise by pi/4 around the origin.
 /// Maps L1 diamonds to L-infinity squares with radius scaled by 1/sqrt(2)

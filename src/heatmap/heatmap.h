@@ -1,18 +1,17 @@
 // Heat-map grids and end-to-end heat-map construction.
 //
 // A HeatmapGrid is a dense raster of influence values over a rectangular
-// domain. Builders are provided for all three metrics:
-//   * L-infinity — exact strip rasterization fed by the CREST sweep;
-//   * L1         — CREST in the rotated frame (Section VII-B), resampled
-//                  back into the original frame;
-//   * any metric — brute-force per-pixel evaluation (reference/showcase).
+// domain. Every builder evaluates the RNN set at each pixel center:
+//   * the column kernel (heatmap/column_raster.h) for all three metrics —
+//     L∞ squares, L1 diamonds and L2 disks in the original frame, exact
+//     at pixel centers;
+//   * brute-force per-pixel evaluation, the definitional oracle.
 #ifndef RNNHM_HEATMAP_HEATMAP_H_
 #define RNNHM_HEATMAP_HEATMAP_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "core/crest.h"
 #include "core/influence_measure.h"
 #include "geom/geometry.h"
 
@@ -25,6 +24,10 @@ class HeatmapGrid {
  public:
   HeatmapGrid(int width, int height, const Rect& domain,
               double background = 0.0);
+
+  /// Adopts `values`: width * height of them, row-major.
+  HeatmapGrid(int width, int height, const Rect& domain,
+              std::vector<double> values);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -66,69 +69,41 @@ class HeatmapGrid {
   std::vector<double> values_;
 };
 
-/// Builds the exact heat map of L-infinity NN-circles via the CREST strip
-/// rasterizer. Pixels outside every labeled span keep the influence of the
-/// empty RNN set.
-HeatmapGrid BuildHeatmapLInf(const std::vector<NnCircle>& circles,
-                             const InfluenceMeasure& measure,
-                             const Rect& domain, int width, int height);
-
-/// As BuildHeatmapLInf with the slab-parallel sweep: `num_slabs` shards
-/// paint disjoint strips of the shared grid. Output is bit-identical to
-/// the sequential builder for every slab count.
-HeatmapGrid BuildHeatmapLInfParallel(const std::vector<NnCircle>& circles,
-                                     const InfluenceMeasure& measure,
-                                     const Rect& domain, int width,
-                                     int height, int num_slabs);
-
-/// Builds the heat map for the L1 metric: rotates clients and facilities
-/// into the L-infinity frame, sweeps there, and resamples the rotated grid
-/// back into `domain`. `oversample` scales the intermediate grid.
-HeatmapGrid BuildHeatmapL1(const std::vector<Point>& clients,
-                           const std::vector<Point>& facilities,
-                           const InfluenceMeasure& measure,
-                           const Rect& domain, int width, int height,
-                           double oversample = 1.5);
-
-/// As BuildHeatmapL1 from prebuilt L1 NN-circles (diamond radii): rotates
-/// the circles, sweeps the rotated frame with `num_slabs` slab shards, and
-/// resamples into `domain`. Output is identical for every slab count.
-/// `stats_out`, when non-null, receives the rotated sweep's counters.
-/// `sweep_options` forwards sweep tuning; its `strip_sink` must be null
-/// (the builder owns the rasterizing sink).
-HeatmapGrid BuildHeatmapL1Parallel(const std::vector<NnCircle>& l1_circles,
-                                   const InfluenceMeasure& measure,
-                                   const Rect& domain, int width, int height,
-                                   int num_slabs, double oversample = 1.5,
-                                   CrestStats* stats_out = nullptr,
-                                   const CrestOptions& sweep_options = {});
-
-/// Builds the exact heat map of L2 NN-circles (disks) via the arc sweep's
-/// strip rasterizer: every pixel's value is the influence of the region
-/// containing its center. Pixels outside every region keep the influence
-/// of the empty RNN set.
-HeatmapGrid BuildHeatmapL2(const std::vector<NnCircle>& circles,
-                           const InfluenceMeasure& measure,
-                           const Rect& domain, int width, int height);
-
-/// As BuildHeatmapL2 with the slab-parallel arc sweep: `num_slabs` shards
-/// paint disjoint pixel columns of the shared grid. Output is bit-identical
-/// to the sequential builder for every slab count (see
-/// core/crest_l2.h::RunCrestL2Parallel for the measure caveat).
-HeatmapGrid BuildHeatmapL2Parallel(const std::vector<NnCircle>& circles,
-                                   const InfluenceMeasure& measure,
-                                   const Rect& domain, int width, int height,
-                                   int num_slabs);
-
-/// The sequential from-scratch builder for any metric over prebuilt
-/// circles: dispatches to BuildHeatmapLInf / BuildHeatmapL1Parallel
-/// (one slab) / BuildHeatmapL2. This is the single reference recipe the
-/// session's full-rebuild path and verification tools share, so they can
-/// never drift apart.
+/// Builds the heat map of `circles` (NN-circles built under `metric`)
+/// through the column kernel: every pixel's value is the influence of the
+/// circles containing its center (NnCircle::Contains), so the result
+/// equals BuildHeatmapBruteForce for measures whose value does not depend
+/// on RNN-set iteration order. `num_blocks` contiguous column blocks are
+/// painted on their own threads sharing `measure` (which must then be
+/// safe for concurrent Evaluate); the output is identical for every
+/// block count. This is the single recipe the engine, the session's full
+/// rebuilds, tiles and verification tools share.
 HeatmapGrid BuildHeatmapForMetric(Metric metric,
                                   const std::vector<NnCircle>& circles,
                                   const InfluenceMeasure& measure,
-                                  const Rect& domain, int width, int height);
+                                  const Rect& domain, int width, int height,
+                                  int num_blocks = 1);
+
+/// Per-metric shorthands for BuildHeatmapForMetric; the *Parallel forms
+/// take the column-block count.
+HeatmapGrid BuildHeatmapLInf(const std::vector<NnCircle>& circles,
+                             const InfluenceMeasure& measure,
+                             const Rect& domain, int width, int height);
+HeatmapGrid BuildHeatmapLInfParallel(const std::vector<NnCircle>& circles,
+                                     const InfluenceMeasure& measure,
+                                     const Rect& domain, int width,
+                                     int height, int num_blocks);
+HeatmapGrid BuildHeatmapL1Parallel(const std::vector<NnCircle>& l1_circles,
+                                   const InfluenceMeasure& measure,
+                                   const Rect& domain, int width, int height,
+                                   int num_blocks);
+HeatmapGrid BuildHeatmapL2(const std::vector<NnCircle>& circles,
+                           const InfluenceMeasure& measure,
+                           const Rect& domain, int width, int height);
+HeatmapGrid BuildHeatmapL2Parallel(const std::vector<NnCircle>& circles,
+                                   const InfluenceMeasure& measure,
+                                   const Rect& domain, int width, int height,
+                                   int num_blocks);
 
 /// Reference builder: evaluates the RNN set of every pixel center directly.
 /// O(width * height * n); use for tests and small showcases only.

@@ -2,9 +2,10 @@
 
 namespace rnnhm {
 
-void AreaHistogramSink::OnSpan(double x0, double x1, double y0, double y1,
-                               double influence) {
-  const double area = (x1 - x0) * (y1 - y0);
+void AreaHistogramSink::OnRegionLabel(const Rect& subregion,
+                                      std::span<const int32_t>,
+                                      double influence) {
+  const double area = subregion.Area();
   if (area > 0.0) areas_[influence] += area;
 }
 

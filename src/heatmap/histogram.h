@@ -1,10 +1,13 @@
 // Exact area-weighted influence distribution.
 //
-// Consumes the sweep's strip spans and accumulates, per influence value,
-// the exact area where that influence holds. Answers exploration questions
+// Consumes the region labels of a CREST-A sweep (RunCrest with
+// CrestOptions::use_changed_intervals = false), which relabels every valid
+// pair in every strip, so its label rectangles tile the arrangement
+// exactly; accumulates, per influence value, the exact area where that
+// influence holds. Answers exploration questions
 // a point-sampled raster can only approximate: "what fraction of the city
 // would a facility at influence >= v cover?", "what is the area-weighted
-// p99 influence?". O(#spans) time, O(#distinct influences) memory.
+// p99 influence?". O(#labels) time, O(#distinct influences) memory.
 #ifndef RNNHM_HEATMAP_HISTOGRAM_H_
 #define RNNHM_HEATMAP_HISTOGRAM_H_
 
@@ -14,18 +17,18 @@
 
 namespace rnnhm {
 
-/// StripSink accumulating exact area per influence value.
-class AreaHistogramSink : public StripSink {
+/// Label sink accumulating exact area per influence value.
+class AreaHistogramSink : public RegionLabelSink {
  public:
-  void OnSpan(double x0, double x1, double y0, double y1,
-              double influence) override;
+  void OnRegionLabel(const Rect& subregion, std::span<const int32_t> rnn,
+                     double influence) override;
 
   /// Exact area per influence value (only values that occur).
   const std::map<double, double>& area_by_influence() const {
     return areas_;
   }
 
-  /// Total area covered by spans (the swept arrangement's extent).
+  /// Total area covered by labels (the swept arrangement's extent).
   double TotalArea() const;
 
   /// Area with influence >= threshold.

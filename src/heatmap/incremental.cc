@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "core/label_sink.h"
-#include "heatmap/raster_sink.h"
 
 namespace rnnhm {
 
@@ -14,8 +12,6 @@ IncrementalRasterStats RecomputeDirtyColumns(
     HeatmapGrid* grid, Metric metric, const std::vector<NnCircle>& circles,
     const InfluenceMeasure& measure, const DirtyRegionSet& dirty) {
   RNNHM_CHECK(grid != nullptr);
-  RNNHM_CHECK_MSG(metric != Metric::kL1,
-                  "kL1 sweeps the rotated frame; use a full rebuild");
   IncrementalRasterStats stats;
   stats.total_columns = grid->width();
   stats.total_rows = grid->height();
@@ -24,20 +20,9 @@ IncrementalRasterStats RecomputeDirtyColumns(
   const Rect& domain = grid->domain();
   const double dx = (domain.hi.x - domain.lo.x) / grid->width();
   const double dy = (domain.hi.y - domain.lo.y) / grid->height();
-  const double background = measure.Evaluate({});
-
-  // The event-grouping span must come from the full input so each slab
-  // sweep groups simultaneous events exactly like an unclipped sweep.
-  CrestL2Options l2_options;
-  if (metric == Metric::kL2) {
-    l2_options.event_group_span = DiskEventGroupSpan(circles);
-  }
-
-  RasterStripSink strip_raster(grid);
-  RasterArcSink arc_raster(grid);
-  CrestOptions crest_options;
-  crest_options.strip_sink = &strip_raster;
-  l2_options.arc_sink = &arc_raster;
+  const PixelAxis cols = ColumnAxis(domain, grid->width());
+  const PixelAxis rows = RowAxis(domain, grid->height());
+  const InfluenceMeasure* const measures[] = {&measure};
 
   for (const DirtyRect& rect : dirty.Merged()) {
     // Columns/rows whose centers lie in the closed dirty rect. Only those
@@ -59,38 +44,9 @@ IncrementalRasterStats RecomputeDirtyColumns(
     const int j1 = static_cast<int>(std::min(height - 1.0, hi_row));
     if (j0 > j1) continue;  // between two row centers
 
-    // Reset the dirty sub-rect to the empty-set influence, then repaint it
-    // with a sweep clipped in x to the pixel-aligned slab and row-windowed
-    // in y to [j0, j1]. Slab edges sit half a pixel away from every column
-    // center, so the half-open paint conventions put exactly the columns
-    // i0..i1 inside the slab; the row window clips painting to exactly the
-    // rows whose centers lie in the dirty y-interval.
-    for (int j = j0; j <= j1; ++j) {
-      double* row = grid->Row(j);
-      std::fill(row + i0, row + i1 + 1, background);
-    }
-    strip_raster.SetRowWindow(j0, j1 + 1);
-    arc_raster.SetRowWindow(j0, j1 + 1);
-    const double clip_lo = domain.lo.x + i0 * dx;
-    const double clip_hi = domain.lo.x + (i1 + 1) * dx;
-    CountingSink labels;  // only the painted strips are needed
-    const MetricSweepStats slab_stats =
-        RunCrestSlabMetric(metric, circles, measure, &labels, clip_lo,
-                           clip_hi, crest_options, l2_options);
-    stats.sweep.crest.num_events += slab_stats.crest.num_events;
-    stats.sweep.crest.num_labelings += slab_stats.crest.num_labelings;
-    stats.sweep.crest.num_merged_intervals +=
-        slab_stats.crest.num_merged_intervals;
-    stats.sweep.crest.num_elements_walked +=
-        slab_stats.crest.num_elements_walked;
-    stats.sweep.l2.num_events += slab_stats.l2.num_events;
-    stats.sweep.l2.num_cross_events += slab_stats.l2.num_cross_events;
-    stats.sweep.l2.num_labelings += slab_stats.l2.num_labelings;
-    stats.sweep.crest.num_circles = slab_stats.crest.num_circles;
-    stats.sweep.crest.num_skipped_circles =
-        slab_stats.crest.num_skipped_circles;
-    stats.sweep.l2.num_circles = slab_stats.l2.num_circles;
-    stats.sweep.l2.num_skipped_circles = slab_stats.l2.num_skipped_circles;
+    stats.kernel += RasterizeColumns(metric, circles, measures, cols, rows,
+                                     PixelWindow{i0, i1 + 1, j0, j1 + 1},
+                                     /*origin_col=*/0, /*origin_row=*/0, grid);
     ++stats.dirty_slabs;
     stats.dirty_columns += i1 - i0 + 1;
     stats.dirty_pixels +=

@@ -81,7 +81,7 @@ ConnectivityInfluence::ConnectivityInfluence(
 double ConnectivityInfluence::Evaluate(
     std::span<const int32_t> clients) const {
   // Thread-local membership scratch keeps concurrent Evaluate safe (the
-  // slab-parallel sweeps share one measure across shards). It only ever
+  // parallel sweeps and column blocks share one measure across threads). It only ever
   // grows, is zero outside this call, and is restored to zero before
   // returning, so instances of any size can share it.
   thread_local std::vector<uint8_t> in_set;

@@ -175,6 +175,8 @@ void ArcYAtColumnsScalar(const Point& center, double radius, bool is_upper,
 
 void ArcYAtColumns(const Point& center, double radius, bool is_upper,
                    const double* xs, double* out, int count) {
+  RNNHM_DCHECK(std::isfinite(center.x) && std::isfinite(center.y) &&
+               std::isfinite(radius));
   switch (ActiveRasterBackend()) {
 #if RNNHM_X86_SIMD
     case RasterBackend::kAvx512:

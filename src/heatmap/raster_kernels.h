@@ -1,18 +1,19 @@
-// SIMD-friendly rasterization kernels shared by the raster sinks.
+// SIMD-friendly building blocks of the column raster kernel
+// (heatmap/column_raster.h).
 //
-// The hot loop of heat-map painting evaluates disk arcs at consecutive
-// pixel-column centers (RasterArcSink) and converts span bounds into
-// contiguous pixel index ranges (both sinks). This header provides that
-// machinery in SoA form:
+// The kernel evaluates disk arcs at consecutive pixel-column centers (the
+// L2 chord estimates) and converts coordinate bounds into pixel index
+// ranges. This header provides that machinery in SoA form:
 //   * PixelAxis — the precomputed center table for one grid axis plus an
-//     exact LowerBound over it, so sinks compute each span's index range
-//     once instead of testing every pixel center with break/continue;
+//     exact LowerBound over it, so the kernel computes each chord's index
+//     range once instead of testing every pixel center;
 //   * ArcYAtColumns — geom/circle_geometry.h's ArcYAt batched over a run
 //     of consecutive column centers, dispatched to explicit-width vector
 //     kernels (SSE2 / AVX2 / AVX-512 on x86-64) at runtime.
 //
-// Bit-identity contract: for finite inputs, every backend produces exactly
-// the doubles the scalar ArcYAt loop produces. The vector kernels replicate
+// Bit-identity contract: for a finite center and radius (an enforced
+// precondition, below) and any column abscissas, every backend produces
+// exactly the doubles the scalar ArcYAt loop produces. The vector kernels replicate
 // the scalar operation order per lane — clamp as max-then-min with the
 // value operand first, `std::max(0.0, s)` as maxpd(s, 0) so a NaN/-0.0
 // discriminant collapses to +0.0 identically, and vsqrtpd, which IEEE 754
@@ -61,8 +62,9 @@ int RasterBackendLanes(RasterBackend backend);
 
 /// out[k] = ArcYAt(center, radius, is_upper, xs[k]) for k in [0, count) —
 /// the lower/upper semicircle ordinate at each abscissa, bit-identical to
-/// the scalar loop on every backend (finite center/radius/xs assumed; the
-/// sweep never emits non-finite arc geometry). xs and out need no
+/// the scalar loop on every backend. Requires a finite center and radius
+/// (DCHECKed; the wire decoders and CircleSetRegistry reject non-finite
+/// circles at ingress, so none reach the kernel). xs and out need no
 /// particular alignment and must not overlap.
 void ArcYAtColumns(const Point& center, double radius, bool is_upper,
                    const double* xs, double* out, int count);

@@ -97,6 +97,18 @@ CircleSetHandle CircleSetRegistry::Register(std::span<const NnCircle> circles,
   return RegisterImpl(circles, metric, nullptr);
 }
 
+Status CircleSetRegistry::Register(std::vector<NnCircle> circles,
+                                   Metric metric, CircleSetHandle* handle) {
+  for (size_t i = 0; i < circles.size(); ++i) {
+    if (!IsFinite(circles[i])) {
+      return Status::InvalidArgument("circle " + std::to_string(i) +
+                                     " has a non-finite center or radius");
+    }
+  }
+  *handle = Register(std::move(circles), metric);
+  return Status::Ok();
+}
+
 CircleSetHandle CircleSetRegistry::RegisterImpl(
     std::span<const NnCircle> circles, Metric metric,
     std::vector<NnCircle>* owned) {
@@ -152,6 +164,11 @@ Status CircleSetRegistry::ApplyDelta(
   DirtyRegionSet* touched_out = dirty != nullptr ? &touched : nullptr;
   for (size_t e = 0; e < edits.size(); ++e) {
     const CircleSetEdit& edit = edits[e];
+    if (edit.kind != CircleSetEdit::Kind::kSwapRemove &&
+        !IsFinite(edit.circle)) {
+      return Status::InvalidArgument("delta edit " + std::to_string(e) +
+                                     " has a non-finite center or radius");
+    }
     switch (edit.kind) {
       case CircleSetEdit::Kind::kReplace:
         if (edit.index >= circles.size()) {

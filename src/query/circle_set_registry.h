@@ -189,15 +189,24 @@ class CircleSetRegistry {
   CircleSetHandle Register(std::span<const NnCircle> circles, Metric metric)
       RNNHM_EXCLUDES(mu_);
 
+  /// The validating form for untrusted input: registers exactly like the
+  /// overloads above and fills `*handle`, or returns kInvalidArgument and
+  /// registers nothing when any center or radius is non-finite. (A
+  /// negative radius is accepted: it denotes an empty circle; see
+  /// NnCircle.) The trusting overloads leave that check to their callers.
+  Status Register(std::vector<NnCircle> circles, Metric metric,
+                  CircleSetHandle* handle) RNNHM_EXCLUDES(mu_);
+
   /// Derives and registers a new snapshot: base's circles with `edits`
   /// applied in order (the base's metric carries over). On success fills
   /// `*derived` (registration count bumped once, exactly like Register —
   /// dedup applies if the content already exists) and returns Ok.
   ///   kNotFound        — base unknown, fully released, or evicted;
-  ///   kInvalidArgument — an edit indexes out of range, or the derived
+  ///   kInvalidArgument — an edit indexes out of range or carries a
+  ///                      non-finite center or radius, or the derived
   ///                      content hash differs from `*expected_hash`
   ///                      (client/server edit semantics diverged); nothing
-  ///                      is registered in either case.
+  ///                      is registered in any of these cases.
   /// When `dirty` is non-null, the bounding rects every edit perturbs (old
   /// and new footprints of replaced circles, footprints of
   /// appended/removed ones) are Add()ed to it — the exact input

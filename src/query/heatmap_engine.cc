@@ -6,10 +6,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/crest_parallel.h"
-#include "core/label_sink.h"
+#include "heatmap/column_raster.h"
 #include "heatmap/incremental.h"
-#include "heatmap/raster_sink.h"
 #include "query/sweep_cache.h"
 #include "tile/tile_plan.h"
 
@@ -17,12 +15,25 @@ namespace rnnhm {
 
 namespace {
 
+// The raster geometry every request must have; the checked serving paths
+// return the failure, the others CHECK it (ValidateGeometry).
+Status CheckGeometry(const Rect& domain, int width, int height) {
+  if (width <= 0 || height <= 0) {
+    return Status::InvalidArgument("non-positive raster size");
+  }
+  if (!IsFinite(domain)) {
+    return Status::InvalidArgument("non-finite request domain");
+  }
+  if (!(domain.lo.x < domain.hi.x) || !(domain.lo.y < domain.hi.y)) {
+    return Status::InvalidArgument("degenerate request domain");
+  }
+  return Status::Ok();
+}
+
 // Contract checks fire at the submitting call site, not on a worker thread.
 void ValidateGeometry(const Rect& domain, int width, int height) {
-  RNNHM_CHECK_MSG(width > 0 && height > 0,
-                  "HeatmapRequest needs a positive raster size");
-  RNNHM_CHECK_MSG(domain.lo.x < domain.hi.x && domain.lo.y < domain.hi.y,
-                  "HeatmapRequest needs a non-degenerate domain");
+  const Status status = CheckGeometry(domain, width, height);
+  RNNHM_CHECK_MSG(status.ok(), status.message.c_str());
 }
 
 std::unique_ptr<SweepCache> MakeCache(const HeatmapEngineOptions& options) {
@@ -51,6 +62,25 @@ SweepCacheKey TileKey(uint64_t subset_hash, const Rect& domain, int width,
                        w.col_lo,    w.col_hi, w.row_lo, w.row_hi};
 }
 
+// The response counters of a kernel run (the mapping query/wire.h
+// documents): the fields every metric shares; sweep-only counters stay 0.
+void AddKernelStats(Metric metric, const ColumnRasterStats& s,
+                    HeatmapResponse* response) {
+  if (metric == Metric::kL2) {
+    CrestL2Stats& l2 = response->l2_stats;
+    l2.num_circles += s.num_circles;
+    l2.num_skipped_circles += s.num_skipped_circles;
+    l2.num_events += s.num_chords;
+    l2.num_labelings += s.num_evaluations;
+  } else {
+    CrestStats& crest = response->stats;
+    crest.num_circles += s.num_circles;
+    crest.num_skipped_circles += s.num_skipped_circles;
+    crest.num_events += s.num_chords;
+    crest.num_labelings += s.num_evaluations;
+  }
+}
+
 void AccumulateCrest(CrestStats* into, const CrestStats& s) {
   into->num_circles += s.num_circles;
   into->num_skipped_circles += s.num_skipped_circles;
@@ -76,8 +106,6 @@ HeatmapEngine::HeatmapEngine(const InfluenceMeasure& measure,
       options_(std::move(options)),
       registry_(MakeRegistry(options_)),
       cache_(MakeCache(options_)) {
-  RNNHM_CHECK_MSG(options_.crest.strip_sink == nullptr,
-                  "HeatmapEngine owns the strip sink");
   RNNHM_CHECK(options_.num_threads >= 0);
   RNNHM_CHECK(options_.slabs_per_request >= 1);
   int n = options_.num_threads;
@@ -196,12 +224,10 @@ HeatmapResponse HeatmapEngine::Execute(const HeatmapRequestV2& request) const {
 Status HeatmapEngine::ExecuteChecked(
     const HeatmapRequestV2& request,
     std::optional<HeatmapResponse>* response) const {
-  if (request.width <= 0 || request.height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status status =
+          CheckGeometry(request.domain, request.width, request.height);
+      !status.ok()) {
+    return status;
   }
   std::shared_ptr<const CircleSetSnapshot> set =
       registry_->Resolve(request.circles);
@@ -266,12 +292,10 @@ HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
 Status HeatmapEngine::ExecuteTileFragmentChecked(
     const HeatmapRequestV2& request, int tile_rows, int tile_cols,
     int tile_id, std::optional<HeatmapResponse>* response) const {
-  if (request.width <= 0 || request.height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status status =
+          CheckGeometry(request.domain, request.width, request.height);
+      !status.ok()) {
+    return status;
   }
   if (tile_rows < 1 || tile_cols < 1 || tile_rows > kMaxTileGridSide ||
       tile_cols > kMaxTileGridSide) {
@@ -312,11 +336,9 @@ Status HeatmapEngine::ExecuteDeltaChecked(
     IncrementalRasterStats* splice_stats) const {
   if (spliced != nullptr) *spliced = false;
   if (splice_stats != nullptr) *splice_stats = IncrementalRasterStats{};
-  if (width <= 0 || height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(domain.lo.x < domain.hi.x) || !(domain.lo.y < domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status status = CheckGeometry(domain, width, height);
+      !status.ok()) {
+    return status;
   }
   DirtyRegionSet dirty;
   std::shared_ptr<const CircleSetSnapshot> base_set;
@@ -343,27 +365,23 @@ Status HeatmapEngine::ExecuteDeltaChecked(
         *response = std::move(*hit);
         return Status::Ok();
       }
-      // Splice: reuse the base raster when the cache still holds it and
-      // the metric sweeps column-separably (kL1 sweeps the rotated frame,
-      // where the dirty x-intervals do not map to output columns).
-      if (set->metric() != Metric::kL1) {
-        const SweepCacheKey base_key{base_set->content_hash(), domain, width,
-                                     height};
-        std::optional<HeatmapResponse> base_hit =
-            cache_->Lookup(base_key, base_set);
-        if (base_hit.has_value()) {
-          HeatmapGrid grid = std::move(base_hit->grid);
-          const IncrementalRasterStats inc = RecomputeDirtyColumns(
-              &grid, set->metric(), set->circles(), measure_, dirty);
-          HeatmapResponse served{std::move(grid), inc.sweep.crest,
-                                 inc.sweep.l2, false, {}};
-          cache_->Insert(derived_key, set, served);
-          served.cache = cache_->stats();
-          if (spliced != nullptr) *spliced = true;
-          if (splice_stats != nullptr) *splice_stats = inc;
-          *response = std::move(served);
-          return Status::Ok();
-        }
+      // Splice: reuse the base raster when the cache still holds it.
+      const SweepCacheKey base_key{base_set->content_hash(), domain, width,
+                                   height};
+      std::optional<HeatmapResponse> base_hit =
+          cache_->Lookup(base_key, base_set);
+      if (base_hit.has_value()) {
+        HeatmapGrid grid = std::move(base_hit->grid);
+        const IncrementalRasterStats inc = RecomputeDirtyColumns(
+            &grid, set->metric(), set->circles(), measure_, dirty);
+        HeatmapResponse served{std::move(grid), {}, {}, false, {}};
+        AddKernelStats(set->metric(), inc.kernel, &served);
+        cache_->Insert(derived_key, set, served);
+        served.cache = cache_->stats();
+        if (spliced != nullptr) *spliced = true;
+        if (splice_stats != nullptr) *splice_stats = inc;
+        *response = std::move(served);
+        return Status::Ok();
       }
     }
     *response = Serve(ResolvedRequest{std::move(set), domain, width, height});
@@ -380,13 +398,10 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
                                                  const Rect& domain, int width,
                                                  int height) const {
   if (t.circles.empty()) {
-    // Background fragment: nothing to sweep, nothing worth caching.
-    MetricSweepStats sweep;
+    // Background fragment: nothing to paint, nothing worth caching.
     HeatmapGrid fragment =
-        plan.SweepTileFragment(t, measure_, options_.slabs_per_request,
-                               &sweep);
-    return HeatmapResponse{std::move(fragment), sweep.crest, sweep.l2, false,
-                           cache_stats()};
+        plan.SweepTileFragment(t, measure_, options_.slabs_per_request);
+    return HeatmapResponse{std::move(fragment), {}, {}, false, cache_stats()};
   }
   std::vector<NnCircle> subset = plan.GatherCircles(t);
   const SweepCacheKey key =
@@ -395,11 +410,11 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
     std::optional<HeatmapResponse> hit = cache_->Lookup(key, subset, metric);
     if (hit.has_value()) return std::move(*hit);
   }
-  MetricSweepStats sweep;
+  ColumnRasterStats stats;
   HeatmapGrid fragment = plan.SweepTileFragment(
-      t, measure_, options_.slabs_per_request, &sweep);
-  HeatmapResponse response{std::move(fragment), sweep.crest, sweep.l2, false,
-                           {}};
+      t, measure_, options_.slabs_per_request, &stats);
+  HeatmapResponse response{std::move(fragment), {}, {}, false, {}};
+  AddKernelStats(metric, stats, &response);
   if (cache_ != nullptr) {
     cache_->Insert(key, CircleSetSnapshot::Make(std::move(subset), metric),
                    response);
@@ -429,42 +444,14 @@ HeatmapResponse HeatmapEngine::Serve(const ResolvedRequest& request) const {
 HeatmapResponse HeatmapEngine::Sweep(const std::vector<NnCircle>& circles,
                                      Metric metric, const Rect& domain,
                                      int width, int height) const {
-  switch (metric) {
-    case Metric::kL1: {
-      CrestStats stats;
-      HeatmapGrid grid = BuildHeatmapL1Parallel(
-          circles, measure_, domain, width, height,
-          options_.slabs_per_request, /*oversample=*/1.5, &stats,
-          options_.crest);
-      return HeatmapResponse{std::move(grid), stats, {}, false, {}};
-    }
-    case Metric::kL2: {
-      HeatmapGrid grid(width, height, domain, measure_.Evaluate({}));
-      RasterArcSink raster(&grid);
-      CrestL2Options l2;
-      l2.arc_sink = &raster;
-      const CrestL2Stats stats = RunCrestL2ParallelStrips(
-          circles, measure_, options_.slabs_per_request, l2);
-      return HeatmapResponse{std::move(grid), {}, stats, false, {}};
-    }
-    case Metric::kLInf:
-      break;
-  }
-  HeatmapGrid grid(width, height, domain, measure_.Evaluate({}));
-  RasterStripSink raster(&grid);
-  CrestOptions crest = options_.crest;
-  crest.strip_sink = &raster;
-  CrestStats stats;
-  if (options_.slabs_per_request > 1) {
-    // Slab-decomposed sweep: shards paint disjoint strips of the shared
-    // grid; region labels themselves are not needed.
-    stats = RunCrestParallelStrips(circles, measure_,
-                                   options_.slabs_per_request, crest);
-  } else {
-    CountingSink counter;
-    stats = RunCrest(circles, measure_, &counter, crest);
-  }
-  return HeatmapResponse{std::move(grid), stats, {}, false, {}};
+  HeatmapResponse response{
+      HeatmapGrid(width, height, domain, measure_.Evaluate({})), {}, {},
+      false, {}};
+  AddKernelStats(metric,
+                 RasterizeGrid(metric, circles, measure_,
+                               options_.slabs_per_request, &response.grid),
+                 &response);
+  return response;
 }
 
 size_t HeatmapEngine::pending() const {

@@ -4,9 +4,8 @@
 // many independent RNNHM computations: one per city tile, per time tick, or
 // per what-if facility placement. HeatmapEngine turns those into a service:
 // requests are submitted from any thread, queued, and dispatched across a
-// worker pool; each request runs the CREST sweep of its metric and
-// rasterizes its heat map exactly as the sequential builder for that metric
-// does (BuildHeatmapLInf / BuildHeatmapL1Parallel / BuildHeatmapL2), so
+// worker pool; each request paints its heat map with the column kernel
+// (heatmap/column_raster.h) exactly as BuildHeatmapForMetric does, so
 // batched output is bit-identical to a sequential run over the same inputs.
 //
 // Two request forms share one execution path:
@@ -21,11 +20,11 @@
 //
 // Two parallelism axes compose:
 //   * across requests — `num_threads` workers drain the shared queue;
-//   * within a request — `slabs_per_request > 1` sweeps each request with
-//     the slab-decomposed RunCrestParallel / RunCrestL2Parallel, painting
-//     one shared grid through the strip sink (slab strips never overlap,
-//     so the raster is still exact and deterministic).
-// A third axis avoids the sweep altogether: `cache_bytes > 0` enables the
+//   * within a request — `slabs_per_request > 1` paints each request's
+//     grid as that many contiguous column blocks on their own threads
+//     (blocks never overlap, and the kernel's output does not depend on
+//     the block count, so the raster is still exact and deterministic).
+// A third axis avoids the raster altogether: `cache_bytes > 0` enables the
 // content-addressed SweepCache (query/sweep_cache.h), which memoizes whole
 // responses across Submit/RunBatch/Execute — repeated workloads are served
 // bit-identically without recomputation, and every response reports
@@ -38,7 +37,8 @@
 //
 // The engine holds a reference to one shared InfluenceMeasure; it must be
 // safe for concurrent Evaluate (SizeInfluence, WeightedInfluence and
-// ConnectivityInfluence are — see the crest_parallel contract).
+// ConnectivityInfluence are; CapacityInfluence keeps per-instance scratch
+// and is not).
 #ifndef RNNHM_QUERY_HEATMAP_ENGINE_H_
 #define RNNHM_QUERY_HEATMAP_ENGINE_H_
 
@@ -69,21 +69,20 @@ struct SweepCacheKey;
 class TilePlan;
 struct Tile;
 
-/// One heat-map computation: sweep `circles` (NN-circles built under
-/// `metric`) and rasterize the influence field over `domain` at
-/// `width` x `height`. L2 requests run the arc sweep and are exact at
-/// pixel centers; L1 requests sweep the rotated frame and resample.
+/// One heat-map computation: rasterize the influence field of `circles`
+/// (NN-circles built under `metric`) over `domain` at `width` x `height`,
+/// exact at pixel centers for every metric.
 /// This is the legacy inline form; HeatmapRequestV2 shares the circle
 /// data instead of embedding it.
 struct HeatmapRequest {
-  /// NN-circles to sweep; must have been built under `metric`.
+  /// NN-circles to rasterize; must have been built under `metric`.
   std::vector<NnCircle> circles;
   /// Rectangular raster window (need not cover every circle).
   Rect domain;
   /// Raster resolution in pixels; both must be positive.
   int width = 0;
   int height = 0;
-  /// Metric the circles were built under; selects the sweep pipeline.
+  /// Metric the circles were built under.
   Metric metric = Metric::kLInf;
 };
 
@@ -126,9 +125,10 @@ struct TiledServeStats {
   int swept_tiles = 0;       ///< fragments recomputed by a sweep
 };
 
-/// The finished raster plus the sweep's counters: `stats` for the
-/// rectilinear sweeps (kLInf, kL1), `l2_stats` for the arc sweep (kL2);
-/// the counters of the sweep that did not run stay zero.
+/// The finished raster plus the kernel's counters: `stats` for kLInf and
+/// kL1, `l2_stats` for kL2 (the other stays zero). The column kernel fills
+/// num_circles, num_skipped_circles, num_events (chords emitted) and
+/// num_labelings (Evaluate calls); the sweep-only counters stay zero.
 struct HeatmapResponse {
   HeatmapGrid grid;
   CrestStats stats;
@@ -146,13 +146,10 @@ struct HeatmapEngineOptions {
   /// concurrency; 1 gives the deterministic single-worker mode (requests
   /// execute one at a time in submission order).
   int num_threads = 0;
-  /// Slabs per request for the intra-request parallel sweep. 1 runs the
-  /// plain sequential RunCrest per request (the bit-identity reference);
-  /// higher values decompose each sweep via RunCrestParallel.
+  /// Contiguous column blocks per request, each painted on its own
+  /// thread; 1 paints on the serving thread. Any value yields the same
+  /// bits.
   int slabs_per_request = 1;
-  /// Sweep tuning forwarded to every request. `strip_sink` is owned by the
-  /// engine and must be left null here.
-  CrestOptions crest;
   /// Byte budget of the engine's result cache (SweepCache): 0 disables
   /// caching, any positive value memoizes whole responses keyed by the
   /// request content. Repeated workloads (sessions re-submitting
@@ -170,7 +167,7 @@ struct HeatmapEngineOptions {
   std::shared_ptr<CircleSetRegistry> registry;
 };
 
-/// Thread-safe batched facade over CREST heat-map construction.
+/// Thread-safe batched facade over heat-map construction.
 class HeatmapEngine {
  public:
   explicit HeatmapEngine(const InfluenceMeasure& measure,
@@ -215,7 +212,7 @@ class HeatmapEngine {
 
   /// Computes one v2 request through the domain-tiling path
   /// (tile/tile_plan.h): the raster is split into a tile_rows x tile_cols
-  /// grid, each tile sweeps just the circles whose influence can reach it,
+  /// grid, each tile paints just the circles whose influence can reach it,
   /// and the stitched result is bit-identical to Execute on the same
   /// request. With caching enabled, each tile's *fragment* is memoized
   /// under the hash of the tile's circle subset plus its pixel window —
@@ -259,10 +256,9 @@ class HeatmapEngine {
   /// derived registration bump reported through `*derived`), then serves
   /// the derived set's heat map over `domain` at `width` x `height`.
   /// When the engine's cache still holds the base raster for the same
-  /// geometry and the metric is column-separable (kLInf, kL2), the
-  /// response is *spliced* — only the pixels inside the dirty rects the
-  /// edits touched are recomputed — and is bit-identical to a
-  /// from-scratch sweep by the incremental-raster contract
+  /// geometry, the response is *spliced* — only the pixels inside the
+  /// dirty rects the edits touched are recomputed — and is bit-identical
+  /// to a from-scratch raster by the incremental-raster contract
   /// (heatmap/incremental.h); otherwise it falls back to the normal cold
   /// path. `*spliced`, when non-null, reports which path served the
   /// response; `*splice_stats`, when non-null, receives the splice pass

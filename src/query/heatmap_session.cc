@@ -139,7 +139,7 @@ const HeatmapGrid& HeatmapSession::RasterIncremental(
   const bool spliceable =
       raster_ != nullptr && raster_measure_ == &measure &&
       raster_->width() == width && raster_->height() == height &&
-      raster_->domain() == domain && metric_ != Metric::kL1;
+      raster_->domain() == domain;
   if (spliceable) {
     out.raster =
         RecomputeDirtyColumns(raster_.get(), metric_, circles_, measure,

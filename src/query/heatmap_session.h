@@ -13,10 +13,9 @@
 // Rebuild() then runs the sweep over the current circles, which is where
 // an efficient RNNHM algorithm matters — CREST's O(n log n + r lambda)
 // makes per-tick recomputation feasible. RasterIncremental() goes one step
-// further for kLInf/kL2 sessions: it retains the previous raster, tracks
-// the 2D rect each edit dirties, and re-sweeps only the sub-rects covering
-// them — bit-identical to a from-scratch rebuild at a fraction of the
-// work when edits are local.
+// further: it retains the previous raster, tracks the 2D rect each edit
+// dirties, and repaints only the pixels inside them — bit-identical to a
+// from-scratch rebuild at a fraction of the work when edits are local.
 #ifndef RNNHM_QUERY_HEATMAP_SESSION_H_
 #define RNNHM_QUERY_HEATMAP_SESSION_H_
 
@@ -42,12 +41,11 @@ namespace rnnhm {
 
 /// Outcome of one HeatmapSession::RasterIncremental call.
 struct IncrementalRebuildStats {
-  /// True when the call swept everything from scratch instead of splicing:
-  /// the first raster, a domain/size/measure change, an explicit
-  /// InvalidateRaster, or a kL1 session (whose sweep runs in the rotated
-  /// frame and is not column-separable). `raster` stays zero then.
+  /// True when the call painted everything from scratch instead of
+  /// splicing: the first raster, a domain/size/measure change, or an
+  /// explicit InvalidateRaster. `raster` stays zero then.
   bool full_rebuild = false;
-  /// Counters of the splice pass (dirty slabs/columns, clipped-sweep work).
+  /// Counters of the splice pass (dirty windows/columns, kernel work).
   IncrementalRasterStats raster;
 };
 
@@ -114,12 +112,10 @@ class HeatmapSession {
       const CrestOptions& options = {}) const;
 
   /// Maintains a retained raster across edits: the first call (or any call
-  /// after the domain, size or measure changed) sweeps from scratch; later
-  /// calls re-sweep only the pixel-aligned sub-rects covering the dirty
-  /// rects the edits since the previous call accumulated, and splice the
-  /// recomputed pixels into the retained grid (see heatmap/incremental.h
-  /// for why the splice is bit-identical to a from-scratch build). kL1 sessions always
-  /// rebuild fully — their sweep runs in the rotated frame. The returned
+  /// after the domain, size or measure changed) paints from scratch; later
+  /// calls repaint only the pixels inside the dirty rects the edits since
+  /// the previous call accumulated (see heatmap/incremental.h for why the
+  /// splice is bit-identical to a from-scratch build). The returned
   /// reference stays valid until the next RasterIncremental or
   /// InvalidateRaster. `measure` is identified by address and must be the
   /// same object across calls for splicing to engage.

@@ -1,7 +1,10 @@
 #include "query/sweep_cache.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 
@@ -41,6 +44,49 @@ size_t EntryBytes(size_t num_circles, const HeatmapResponse& response) {
 
 }  // namespace
 
+// A memoized response with its grid packed (see the header): `counts`
+// holds every pixel when the grid is integer-valued, `values` otherwise.
+struct SweepCache::PackedResponse {
+  CrestStats stats;
+  CrestL2Stats l2_stats;
+  int width = 0;
+  int height = 0;
+  Rect domain;
+  std::vector<uint16_t> counts;
+  std::vector<double> values;
+
+  explicit PackedResponse(const HeatmapResponse& response)
+      : stats(response.stats),
+        l2_stats(response.l2_stats),
+        width(response.grid.width()),
+        height(response.grid.height()),
+        domain(response.grid.domain()) {
+    const std::vector<double>& grid = response.grid.values();
+    counts.resize(grid.size());
+    for (size_t k = 0; k < grid.size(); ++k) {
+      const double v = grid[k];
+      // Exact round trips only: NaN, -0.0 and fractions keep the doubles.
+      if (!(v >= 0.0 && v <= 65535.0) || std::signbit(v) ||
+          static_cast<double>(static_cast<uint16_t>(v)) != v) {
+        counts.clear();
+        counts.shrink_to_fit();
+        values = grid;
+        return;
+      }
+      counts[k] = static_cast<uint16_t>(v);
+    }
+  }
+
+  HeatmapResponse Unpack() const {
+    std::vector<double> grid = counts.empty()
+                                   ? values
+                                   : std::vector<double>(counts.begin(),
+                                                         counts.end());
+    return HeatmapResponse{HeatmapGrid(width, height, domain, std::move(grid)),
+                           stats, l2_stats, false, {}};
+  }
+};
+
 SweepCache::SweepCache(SweepCacheOptions options) : options_(options) {}
 
 SweepCacheKey SweepCache::KeyOf(const HeatmapRequest& request) {
@@ -72,7 +118,7 @@ template <typename SameSet>
 std::optional<HeatmapResponse> SweepCache::LookupImpl(
     const SweepCacheKey& key, const SameSet& same_set) {
   const uint64_t fingerprint = Fingerprint(key);
-  std::shared_ptr<const HeatmapResponse> found;
+  std::shared_ptr<const PackedResponse> found;
   SweepCacheStats snapshot;
   {
     MutexLock lock(&mu_);
@@ -90,7 +136,7 @@ std::optional<HeatmapResponse> SweepCache::LookupImpl(
   // Materialize the caller's copy outside the critical section: the entry
   // is immutable, so concurrent hits copy the grid in parallel (eviction
   // in another thread only drops the shared reference, never the bytes).
-  HeatmapResponse out = *found;
+  HeatmapResponse out = found->Unpack();
   out.from_cache = true;
   out.cache = snapshot;
   return out;
@@ -124,11 +170,9 @@ void SweepCache::Insert(const SweepCacheKey& key,
   const uint64_t fingerprint = Fingerprint(key);
   const size_t bytes = EntryBytes(set->circles().size(), response);
   if (bytes > options_.max_bytes) return;  // would evict everything for one
-  // Copy the response before taking the lock (it is the expensive part);
+  // Pack the response before taking the lock (it is the expensive part);
   // stored copies are pristine: no hit flag, no stale stats snapshot.
-  auto stored = std::make_shared<HeatmapResponse>(response);
-  stored->from_cache = false;
-  stored->cache = SweepCacheStats{};
+  auto stored = std::make_shared<const PackedResponse>(response);
   MutexLock lock(&mu_);
   const auto it = index_.find(fingerprint);
   if (it != index_.end()) {  // replace (also heals a fingerprint collision)

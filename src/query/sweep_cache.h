@@ -20,6 +20,11 @@
 // miss instead of returning the wrong map.
 // Eviction is LRU under two ceilings: resident bytes (grids are sized via
 // SerializedSizeBytes, keys by their circle payload) and entry count.
+// Entries hold integer-valued grids (sizes, capacities, edge counts: the
+// common measures) as 16-bit counts, a quarter of the doubles, expanded
+// exactly on a hit; other grids keep their doubles. The byte budget still
+// charges the unpacked size, so admission and eviction do not depend on
+// the packing.
 // All methods are thread-safe; workers of one engine share one instance.
 #ifndef RNNHM_QUERY_SWEEP_CACHE_H_
 #define RNNHM_QUERY_SWEEP_CACHE_H_
@@ -137,6 +142,8 @@ class SweepCache {
   static uint64_t Fingerprint(const HeatmapRequest& request);
 
  private:
+  struct PackedResponse;
+
   struct Entry {
     uint64_t fingerprint;
     SweepCacheKey key;
@@ -145,8 +152,8 @@ class SweepCache {
     std::shared_ptr<const CircleSetSnapshot> set;
     // Immutable once admitted; hits grab the pointer under the lock and
     // materialize the caller's copy outside it, so concurrent hits never
-    // serialize on the multi-megabyte grid copy.
-    std::shared_ptr<const HeatmapResponse> response;
+    // serialize on expanding the grid.
+    std::shared_ptr<const PackedResponse> response;
     size_t bytes;
   };
 

@@ -313,6 +313,9 @@ std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
   if (request.width <= 0 || request.height <= 0) {
     return Fail(error, "non-positive raster size");
   }
+  if (!IsFinite(request.domain)) {
+    return Fail(error, "non-finite request domain");
+  }
   if (!(request.domain.lo.x < request.domain.hi.x) ||
       !(request.domain.lo.y < request.domain.hi.y)) {
     return Fail(error, "degenerate request domain");
@@ -333,6 +336,9 @@ std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
     c.center.y = r.F64();
     c.radius = r.F64();
     c.client = r.I32();
+    if (r.ok() && !IsFinite(c)) {
+      return Fail(error, "non-finite circle center or radius");
+    }
     request.circles.push_back(c);
   }
   if (!r.ok()) return Fail(error, "circle payload truncated");
@@ -471,6 +477,9 @@ std::optional<WireDeltaRequest> DecodeDeltaRequest(
   if (request.width <= 0 || request.height <= 0) {
     return Fail(error, "non-positive raster size");
   }
+  if (!IsFinite(request.domain)) {
+    return Fail(error, "non-finite request domain");
+  }
   if (!(request.domain.lo.x < request.domain.hi.x) ||
       !(request.domain.lo.y < request.domain.hi.y)) {
     return Fail(error, "degenerate request domain");
@@ -508,6 +517,10 @@ std::optional<WireDeltaRequest> DecodeDeltaRequest(
         break;
     }
     if (!r.ok()) return Fail(error, "delta edit list truncated");
+    if (edit.kind != CircleSetEdit::Kind::kSwapRemove &&
+        !IsFinite(edit.circle)) {
+      return Fail(error, "non-finite delta circle center or radius");
+    }
     request.edits.push_back(edit);
   }
   if (r.remaining() != 0) {
@@ -616,6 +629,9 @@ std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
   if (request.width <= 0 || request.height <= 0) {
     return Fail(error, "non-positive raster size");
   }
+  if (!IsFinite(request.domain)) {
+    return Fail(error, "non-finite request domain");
+  }
   if (!(request.domain.lo.x < request.domain.hi.x) ||
       !(request.domain.lo.y < request.domain.hi.y)) {
     return Fail(error, "degenerate request domain");
@@ -647,6 +663,9 @@ std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
     c.center.y = r.F64();
     c.radius = r.F64();
     c.client = r.I32();
+    if (r.ok() && !IsFinite(c)) {
+      return Fail(error, "non-finite circle center or radius");
+    }
     request.circles.push_back(c);
   }
   if (!r.ok()) return Fail(error, "circle payload truncated");

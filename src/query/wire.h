@@ -16,9 +16,21 @@
 // compare it, so a corrupted circle payload is rejected rather than
 // swept.
 //
-// Responses carry the full HeatmapResponse: status, sweep counters, cache
+// Responses carry the full HeatmapResponse: status, raster counters, cache
 // counters and the grid (the grid payload reuses heatmap/serialization's
 // "RNHM" byte format).
+//
+// Raster counters: the response keeps the 17 stats words of the v6 layout
+// — six CrestStats words, five CrestL2Stats words, six cache words — but
+// the maps are painted by the column kernel (heatmap/column_raster.h), not
+// by a sweep. Its counters land in the CrestStats words for kLInf and kL1
+// and in the CrestL2Stats words for kL2 (the other group stays zero):
+//   num_circles          <- circles considered (radius >= 0)
+//   num_skipped_circles  <- negative-radius circles (they contain no point)
+//   num_events           <- chords emitted (non-empty circle x column runs)
+//   num_labelings        <- InfluenceMeasure::Evaluate calls
+// The sweep-only words (num_merged_intervals, num_elements_walked,
+// num_cross_events) are always zero.
 //
 // Framing: a stream is a sequence of [u32 LE payload length][payload]
 // frames (WriteFrame/ReadFrame); ServeWireStream drains request frames
@@ -48,7 +60,7 @@ namespace rnnhm {
 
 /// Protocol version stamped into every message. v4 adds the delta
 /// registration op (base hash + edit list -> new registered set, served
-/// with an incremental re-sweep) and extends the stats reply with delta
+/// with an incremental splice) and extends the stats reply with delta
 /// and eviction counters. v5 appends `delta_dirty_columns` to the stats
 /// reply — the cumulative pixel columns spliced deltas actually
 /// recomputed, the observable cost of the 2D dirty-rect splice. v6 adds
@@ -108,8 +120,10 @@ std::vector<uint8_t> EncodeRequest(const WireRequest& request);
 
 /// Parses and validates a request message. Returns nullopt on any
 /// malformed input (short buffer, bad magic/version/metric, nonzero
-/// reserved bytes, non-positive raster, degenerate domain, payload size
-/// mismatch, inline content-hash mismatch) with `*error` describing it.
+/// reserved bytes, non-positive raster, non-finite or degenerate domain,
+/// payload size mismatch, a non-finite circle center or radius, inline
+/// content-hash mismatch) with `*error` describing it. Negative radii are
+/// accepted: such a circle contains no point (see NnCircle).
 std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
                                          std::string* error);
 

@@ -1,30 +1,25 @@
-// Domain tiling: partition a raster into an R x C grid of tiles, sweep
-// every tile independently over just the circles that can influence it, and
-// stitch the per-tile rasters into one grid bit-identical to the untiled
-// sweep (ROADMAP item 1 — datasets bigger than one sweep).
+// Domain tiling: partition a raster into an R x C grid of tiles, paint
+// every tile independently over just the circles that can influence it,
+// and stitch the per-tile rasters into one grid bit-identical to the
+// untiled raster.
 //
-// Why stitching is exact: a pixel's value is the influence of the circles
-// whose region contains the pixel's *center*, and the raster sinks paint by
-// center sampling through the global PixelAxis tables. A tile sweep over
-// any superset of the circles covering the tile's pixel centers therefore
-// paints exactly the values the full sweep paints there — extra circles
-// contribute empty spans at centers they do not contain, and span-to-index
-// conversion goes through the same global center tables the untiled sink
-// uses (see the fragment constructors in heatmap/raster_sink.h). Holds for
-// influence measures whose value does not depend on RNN-set iteration
-// order (SizeInfluence et al.), the same caveat as the slab decomposition.
+// Why stitching is exact: the column kernel (heatmap/column_raster.h)
+// paints a pixel from exactly the circles containing its center, working
+// in global pixel indices through the untiled grid's center tables. A tile
+// painted over any superset of the circles covering its pixel centers
+// therefore gets exactly the untiled values — extra circles contain none
+// of its centers. Holds for influence measures whose value does not depend
+// on RNN-set iteration order (SizeInfluence et al.), the kernel's caveat.
 //
 // Tile boundaries come from PixelAxis::LowerBound over the global center
-// table — never from independent float math — so tile edges can never
-// disagree with the span edges the sweeps emit, and the windows partition
+// table — never from independent float math — so the windows partition
 // the pixel space exactly (every output pixel has exactly one owner tile).
 //
 // Circle-to-tile assignment is a bulk R-tree pass (src/index/rtree.h): one
-// STR bulk load of the circle bounding boxes, one window query per tile
+// STR bulk load of the circle bounding boxes (which cover the L1 diamond
+// and the L2 disk as well as the L∞ square), one window query per tile
 // with the tile's closed pixel-center extent — O(n log n + tiles * log n)
-// instead of the O(n * tiles) scan. For L1 the sweep runs in the pi/4-
-// rotated frame, so assignment happens there too: the R-tree holds rotated
-// bounds and each tile queries the rotated cell window its resample reads.
+// instead of the O(n * tiles) scan.
 #ifndef RNNHM_TILE_TILE_PLAN_H_
 #define RNNHM_TILE_TILE_PLAN_H_
 
@@ -32,30 +27,20 @@
 #include <span>
 #include <vector>
 
-#include "core/crest_parallel.h"
 #include "geom/geometry.h"
+#include "heatmap/column_raster.h"
 #include "heatmap/heatmap.h"
 
 namespace rnnhm {
 
-/// Half-open global pixel-index window [col_lo, col_hi) x [row_lo, row_hi).
-struct TileWindow {
-  int col_lo = 0;
-  int col_hi = 0;
-  int row_lo = 0;
-  int row_hi = 0;
-
-  bool empty() const { return col_lo >= col_hi || row_lo >= row_hi; }
-  int width() const { return col_hi - col_lo; }
-  int height() const { return row_hi - row_lo; }
-  friend bool operator==(const TileWindow&, const TileWindow&) = default;
-};
+/// A tile's half-open global pixel-index window.
+using TileWindow = PixelWindow;
 
 /// The R x C tile pixel windows of a width x height raster over `domain`,
 /// row-major (tile (r, c) at index r * cols + c). Boundary k of the column
 /// cut at coordinate lo.x + (extent * k) / cols is
-/// PixelAxis::LowerBound(cut) — the exact conversion the sweeps' span
-/// painting uses — with the outer boundaries forced to 0 and width, so the
+/// PixelAxis::LowerBound(cut) with the outer boundaries forced to 0 and
+/// width, so the
 /// windows partition [0, width) x [0, height) no matter how the cut
 /// coordinates round. Shards and routers calling this with equal arguments
 /// compute equal windows (no per-process state).
@@ -71,16 +56,11 @@ struct Tile {
   /// influence can reach a pixel center of this tile — a conservative
   /// superset via bounding-box intersection.
   std::vector<int32_t> circles;
-  /// kL1 only: the rotated-grid cell window the tile's resample reads.
-  TileWindow rot_window;
 };
 
 struct TilePlanOptions {
   int rows = 1;
   int cols = 1;
-  /// Intermediate-grid scaling of the L1 rotated sweep; must match the
-  /// untiled builder's (BuildHeatmapL1Parallel default) for bit-identity.
-  double oversample = 1.5;
 };
 
 /// An immutable tiling of one (metric, circles, domain, width, height)
@@ -104,35 +84,36 @@ class TilePlan {
   /// the subset a shard sweeps, and what per-tile cache keys hash.
   std::vector<NnCircle> GatherCircles(const Tile& t) const;
 
-  /// Sweeps one tile into the full-size grid `out` (which must have the
+  /// Paints one tile into the full-size grid `out` (which must have the
   /// plan's width/height). Only pixels inside the tile's window are
-  /// written; they end up bit-identical to the untiled sweep's. `num_slabs`
-  /// is the slab parallelism within the tile sweep (any value yields the
-  /// same bits). Stats accumulate into `*stats` when non-null.
+  /// written; they end up bit-identical to the untiled raster's.
+  /// `num_blocks` is the column-block parallelism within the tile (any
+  /// value yields the same bits). Stats accumulate into `*stats` when
+  /// non-null.
   void SweepTileInto(const Tile& t, const InfluenceMeasure& measure,
-                     int num_slabs, HeatmapGrid* out,
-                     MetricSweepStats* stats = nullptr) const;
+                     int num_blocks, HeatmapGrid* out,
+                     ColumnRasterStats* stats = nullptr) const;
 
-  /// Sweeps one tile into a window-sized fragment grid — what a by-tile
+  /// Paints one tile into a window-sized fragment grid — what a by-tile
   /// shard returns over the wire. Fragment cell (i, j) is global pixel
   /// (window.col_lo + i, window.row_lo + j). Requires !t.window.empty().
   HeatmapGrid SweepTileFragment(const Tile& t, const InfluenceMeasure& measure,
-                                int num_slabs,
-                                MetricSweepStats* stats = nullptr) const;
+                                int num_blocks,
+                                ColumnRasterStats* stats = nullptr) const;
 
   /// Copies a window-sized fragment into its place in the full grid.
   static void StitchFragment(const TileWindow& window,
                              const HeatmapGrid& fragment, HeatmapGrid* out);
 
-  /// Sweeps every tile and stitches: the full grid, bit-identical to the
-  /// untiled BuildHeatmap*Parallel output for this metric.
-  HeatmapGrid Run(const InfluenceMeasure& measure, int num_slabs = 1,
-                  MetricSweepStats* stats = nullptr) const;
+  /// Paints every tile and stitches: the full grid, bit-identical to the
+  /// untiled BuildHeatmapForMetric output for this metric.
+  HeatmapGrid Run(const InfluenceMeasure& measure, int num_blocks = 1,
+                  ColumnRasterStats* stats = nullptr) const;
 
  private:
   void SweepWindowed(const Tile& t, const InfluenceMeasure& measure,
-                     int num_slabs, HeatmapGrid* target, int origin_col,
-                     int origin_row, MetricSweepStats* stats) const;
+                     int num_blocks, HeatmapGrid* target, int origin_col,
+                     int origin_row, ColumnRasterStats* stats) const;
 
   Metric metric_;
   std::span<const NnCircle> circles_;
@@ -142,14 +123,6 @@ class TilePlan {
   int rows_;
   int cols_;
   std::vector<Tile> tiles_;
-  // kL2: the full-set event-grouping span every tile sweep shares (the
-  // same contract slab shards follow; see core/crest_l2.h).
-  double l2_event_span_ = -1.0;
-  // kL1: the exact rotated-sweep geometry of the untiled builder
-  // (heatmap.cc's ResampleRotatedSweep), reproduced once here.
-  std::vector<NnCircle> rot_circles_;
-  Rect rot_domain_ = EmptyRect();
-  int rot_res_ = 0;
 };
 
 }  // namespace rnnhm

@@ -617,5 +617,54 @@ TEST(CircleSetRegistryStressTest, ContendedReadersSurviveConcurrentWrites) {
   }
 }
 
+// --- Ingress validation ---------------------------------------------------
+
+TEST(CircleSetRegistryIngressTest, CheckedRegisterRefusesNonFiniteCircles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CircleSetRegistry registry;
+  for (const NnCircle& bad :
+       {NnCircle{{0.5, 0.5}, inf, 3}, NnCircle{{nan, 0.5}, 0.1, 3},
+        NnCircle{{0.5, -inf}, 0.1, 3}, NnCircle{{0.5, 0.5}, nan, 3}}) {
+    std::vector<NnCircle> circles = MakeCircles(70, 3);
+    circles.push_back(bad);
+    CircleSetHandle handle;
+    const Status status =
+        registry.Register(std::move(circles), Metric::kL2, &handle);
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
+    EXPECT_FALSE(handle.valid());
+  }
+  EXPECT_EQ(registry.size(), 0u);
+  // Finite input, negative radius included (an empty circle), registers.
+  std::vector<NnCircle> circles = MakeCircles(70, 3);
+  circles.push_back(NnCircle{{0.5, 0.5}, -1.0, 3});
+  CircleSetHandle handle;
+  ASSERT_TRUE(registry.Register(circles, Metric::kL2, &handle).ok());
+  EXPECT_TRUE(handle.valid());
+  EXPECT_EQ(handle, registry.Register(circles, Metric::kL2));
+}
+
+TEST(CircleSetRegistryIngressTest, ApplyDeltaRefusesNonFiniteEdits) {
+  const double inf = std::numeric_limits<double>::infinity();
+  CircleSetRegistry registry;
+  const CircleSetHandle base = registry.Register(MakeCircles(71, 4),
+                                                 Metric::kLInf);
+  for (const CircleSetEdit& edit :
+       {CircleSetEdit{CircleSetEdit::Kind::kAppend, 0,
+                      NnCircle{{0.5, 0.5}, inf, 4}},
+        CircleSetEdit{CircleSetEdit::Kind::kReplace, 1,
+                      NnCircle{{std::numeric_limits<double>::quiet_NaN(),
+                                0.5},
+                               0.1, 1}}}) {
+    CircleSetHandle derived;
+    const Status status = registry.ApplyDelta(
+        base, std::span<const CircleSetEdit>(&edit, 1), std::nullopt,
+        &derived);
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument) << status.message;
+    EXPECT_FALSE(derived.valid());
+  }
+  EXPECT_EQ(registry.size(), 1u);
+}
+
 }  // namespace
 }  // namespace rnnhm

@@ -9,7 +9,6 @@
 #include "core/crest_parallel.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
-#include "heatmap/raster_sink.h"
 
 namespace rnnhm {
 namespace {
@@ -58,14 +57,8 @@ TEST_P(ParallelProperty, ParallelRasterEqualsSequentialRaster) {
   const HeatmapGrid sequential =
       BuildHeatmapLInf(circles, measure, domain, 100, 100);
 
-  HeatmapGrid parallel(100, 100, domain, measure.Evaluate({}));
-  RasterStripSink raster(&parallel);
-  CrestOptions options;
-  options.strip_sink = &raster;
-  std::vector<CountingSink> shard_sinks(shards);
-  std::vector<RegionLabelSink*> sink_ptrs;
-  for (auto& s : shard_sinks) sink_ptrs.push_back(&s);
-  RunCrestParallel(circles, measure, sink_ptrs, options);
+  const HeatmapGrid parallel =
+      BuildHeatmapLInfParallel(circles, measure, domain, 100, 100, shards);
 
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 100; ++j) {
@@ -142,38 +135,6 @@ TEST(ParallelCrestTest, PerShardMeasuresForUnsafeMeasures) {
     for (const auto& [set, influence] : s.sets()) merged[set] = influence;
   }
   EXPECT_EQ(merged, sequential.sets());
-}
-
-TEST(ParallelCrestTest, StripsHelperRasterMatchesSequentialSweep) {
-  // RunCrestParallelStrips discards labels and feeds only the strip sink;
-  // the painted raster must be bit-identical to a sequential sweep's.
-  Rng rng(1500);
-  const auto circles = RandomCircles(120, rng);
-  SizeInfluence measure;
-  const Rect domain{{-0.2, -0.2}, {1.2, 1.2}};
-
-  HeatmapGrid sequential(96, 96, domain, measure.Evaluate({}));
-  {
-    RasterStripSink raster(&sequential);
-    CountingSink counter;
-    CrestOptions options;
-    options.strip_sink = &raster;
-    RunCrest(circles, measure, &counter, options);
-  }
-  for (const int slabs : {1, 2, 4, 7}) {
-    HeatmapGrid parallel(96, 96, domain, measure.Evaluate({}));
-    RasterStripSink raster(&parallel);
-    CrestOptions options;
-    options.strip_sink = &raster;
-    const CrestStats stats =
-        RunCrestParallelStrips(circles, measure, slabs, options);
-    EXPECT_GT(stats.num_labelings, 0u);
-    ASSERT_EQ(parallel.values().size(), sequential.values().size());
-    for (size_t i = 0; i < parallel.values().size(); ++i) {
-      ASSERT_EQ(parallel.values()[i], sequential.values()[i])
-          << "slabs " << slabs << ", flat index " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -337,7 +337,7 @@ TEST(CrestL1Test, RotatedOracleMatchesDirectL1Oracle) {
   }
 }
 
-TEST(CrestL1Test, L1HeatmapMatchesBruteForceAlmostEverywhere) {
+TEST(CrestL1Test, L1HeatmapMatchesBruteForceEverywhere) {
   Rng rng(84);
   std::vector<Point> clients, facilities;
   for (int i = 0; i < 80; ++i) {
@@ -348,9 +348,9 @@ TEST(CrestL1Test, L1HeatmapMatchesBruteForceAlmostEverywhere) {
   }
   SizeInfluence measure;
   const Rect domain{{0, 0}, {1, 1}};
-  const HeatmapGrid grid =
-      BuildHeatmapL1(clients, facilities, measure, domain, 128, 128, 3.0);
   const auto circles = BuildNnCircles(clients, facilities, Metric::kL1);
+  const HeatmapGrid grid =
+      BuildHeatmapForMetric(Metric::kL1, circles, measure, domain, 128, 128);
   int mismatches = 0;
   int total = 0;
   for (int i = 0; i < 128; i += 3) {
@@ -361,9 +361,8 @@ TEST(CrestL1Test, L1HeatmapMatchesBruteForceAlmostEverywhere) {
       ++total;
     }
   }
-  // Resampling through the rotated frame is exact except within one rotated
-  // pixel of region boundaries.
-  EXPECT_LT(mismatches, total / 20) << mismatches << "/" << total;
+  // The column kernel samples the diamonds in the original frame: exact.
+  EXPECT_EQ(mismatches, 0) << mismatches << "/" << total;
 }
 
 TEST(CrestL1Test, RunCrestL1DistinctSetsMatchRotatedRun) {

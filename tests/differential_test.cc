@@ -199,6 +199,10 @@ HeatmapGrid SequentialRaster(Metric metric,
 HeatmapGrid ParallelRaster(Metric metric,
                            const std::vector<NnCircle>& circles,
                            const InfluenceMeasure& measure, int slabs) {
+  if (metric == Metric::kL1) {
+    return BuildHeatmapL1Parallel(circles, measure, kDomain, kRaster,
+                                  kRaster, slabs);
+  }
   if (metric == Metric::kL2) {
     return BuildHeatmapL2Parallel(circles, measure, kDomain, kRaster,
                                   kRaster, slabs);
@@ -304,8 +308,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Incremental re-sweep and result cache -------------------------------
 //
-// The acceptance gate for the incremental subsystem: for both
-// column-separable metrics, a session replaying a randomized edit sequence
+// The acceptance gate for the incremental subsystem: for all three
+// metrics, a session replaying a randomized edit sequence
 // must produce — after every single edit — a spliced raster that is
 // *bit-identical* to a from-scratch build of its current circles at every
 // slab count, under both an order-independent measure (Size) and exact
@@ -373,7 +377,8 @@ TEST_P(IncrementalDifferentialTest, EditReplayMatchesFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, IncrementalDifferentialTest,
-    ::testing::Combine(::testing::Values(Metric::kLInf, Metric::kL2),
+    ::testing::Combine(::testing::Values(Metric::kLInf, Metric::kL1,
+                                         Metric::kL2),
                        ::testing::Values(std::string("Size"),
                                          std::string("Weighted"))),
     [](const ::testing::TestParamInfo<IncrementalParam>& param_info) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "heatmap/column_raster.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
 
@@ -229,6 +230,16 @@ TEST(HeatmapEngineTest, SubmitFuturePropagatesWorkerExceptions) {
   EXPECT_EQ(engine.pending(), 0u);
 }
 
+TEST(HeatmapEngineTest, ColumnBlockExceptionsReachTheFuture) {
+  // With several column blocks per request, a measure that throws on a
+  // block thread is forwarded to the caller once every block has joined.
+  ThrowingInfluence measure;
+  HeatmapEngine engine(measure, Options(1, 4));
+  auto failing = engine.Submit(RandomRequest(40, 2));
+  EXPECT_THROW(failing.get(), std::runtime_error);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
 TEST(HeatmapEngineTest, AllFailingBatchResolvesEveryFuture) {
   ThrowingInfluence measure;
   HeatmapEngine engine(measure, Options(4));
@@ -300,24 +311,24 @@ TEST(HeatmapEngineTest, L2RequestsMatchSequentialArcSweepBitForBit) {
 }
 
 TEST(HeatmapEngineTest, L2StatsAggregateAcrossSlabs) {
-  // The engine must surface the arc sweep's counters: global circle counts
-  // equal the sequential sweep's, per-shard counters sum to at least it.
+  // The engine surfaces the column kernel's counters (query/wire.h maps
+  // them): circles, chords as events, Evaluate calls as labelings — the
+  // same totals for every slab count, since each column is walked alike.
   SizeInfluence measure;
   const auto req = L2Request(80, 2200);
-  CountingSink sink;
-  const CrestL2Stats sequential =
-      RunCrestL2(req.circles, measure, &sink);
+  HeatmapGrid grid(req.width, req.height, req.domain, 0.0);
+  const ColumnRasterStats kernel =
+      RasterizeGrid(Metric::kL2, req.circles, measure, 1, &grid);
   for (const int slabs : {1, 4}) {
     HeatmapEngine engine(measure, Options(1, slabs));
     const auto response = engine.Submit(req).get();
-    EXPECT_EQ(response.l2_stats.num_circles, sequential.num_circles);
+    EXPECT_EQ(response.l2_stats.num_circles, kernel.num_circles);
     EXPECT_EQ(response.l2_stats.num_skipped_circles,
-              sequential.num_skipped_circles);
-    EXPECT_GE(response.l2_stats.num_labelings, sequential.num_labelings);
-    if (slabs == 1) {
-      EXPECT_EQ(response.l2_stats.num_labelings, sequential.num_labelings);
-      EXPECT_EQ(response.l2_stats.num_events, sequential.num_events);
-    }
+              kernel.num_skipped_circles);
+    EXPECT_EQ(response.l2_stats.num_events, kernel.num_chords);
+    EXPECT_EQ(response.l2_stats.num_labelings, kernel.num_evaluations);
+    EXPECT_EQ(response.l2_stats.num_cross_events, 0u);  // sweep-only
+    EXPECT_GT(response.l2_stats.num_labelings, 0u);
   }
 }
 

@@ -12,10 +12,10 @@ namespace {
 
 TEST(AreaHistogramTest, AccumulatesExactAreas) {
   AreaHistogramSink sink;
-  sink.OnSpan(0, 2, 0, 1, 1.0);   // area 2 at influence 1
-  sink.OnSpan(0, 1, 1, 3, 1.0);   // area 2 at influence 1
-  sink.OnSpan(5, 6, 0, 4, 3.0);   // area 4 at influence 3
-  sink.OnSpan(9, 9, 0, 4, 9.0);   // zero width: ignored
+  sink.OnRegionLabel({{0, 0}, {2, 1}}, {}, 1.0);   // area 2 at influence 1
+  sink.OnRegionLabel({{0, 1}, {1, 3}}, {}, 1.0);   // area 2 at influence 1
+  sink.OnRegionLabel({{5, 0}, {6, 4}}, {}, 3.0);   // area 4 at influence 3
+  sink.OnRegionLabel({{9, 0}, {9, 4}}, {}, 9.0);   // zero width: ignored
   EXPECT_DOUBLE_EQ(sink.TotalArea(), 8.0);
   EXPECT_DOUBLE_EQ(sink.area_by_influence().at(1.0), 4.0);
   EXPECT_DOUBLE_EQ(sink.area_by_influence().at(3.0), 4.0);
@@ -26,9 +26,9 @@ TEST(AreaHistogramTest, AccumulatesExactAreas) {
 
 TEST(AreaHistogramTest, QuantileWalksFromTheTop) {
   AreaHistogramSink sink;
-  sink.OnSpan(0, 1, 0, 1, 1.0);   // area 1
-  sink.OnSpan(0, 1, 1, 2, 2.0);   // area 1
-  sink.OnSpan(0, 2, 2, 3, 4.0);   // area 2
+  sink.OnRegionLabel({{0, 0}, {1, 1}}, {}, 1.0);   // area 1
+  sink.OnRegionLabel({{0, 1}, {1, 2}}, {}, 2.0);   // area 1
+  sink.OnRegionLabel({{0, 2}, {2, 3}}, {}, 4.0);   // area 2
   // Top 25% of 4.0 total = 1.0 area -> influence 4 covers 2 >= 1.
   EXPECT_DOUBLE_EQ(sink.QuantileInfluence(0.25), 4.0);
   // Top 80% = 3.2 area -> need down to influence 1.
@@ -41,11 +41,10 @@ TEST(AreaHistogramTest, SingleSquareExactArea) {
   const std::vector<NnCircle> circles{{{0.5, 0.5}, 0.25, 0}};
   SizeInfluence measure;
   AreaHistogramSink histogram;
-  CountingSink counter;
   CrestOptions options;
-  options.strip_sink = &histogram;
-  RunCrest(circles, measure, &counter, options);
-  // One span: the square itself, side 0.5.
+  options.use_changed_intervals = false;
+  RunCrest(circles, measure, &histogram, options);
+  // One label: the square itself, side 0.5.
   EXPECT_DOUBLE_EQ(histogram.TotalArea(), 0.25);
   EXPECT_DOUBLE_EQ(histogram.area_by_influence().at(1.0), 0.25);
 }
@@ -56,10 +55,9 @@ TEST(AreaHistogramTest, OverlappingSquaresDecompose) {
                                       {{0.6, 0.5}, 0.2, 1}};
   SizeInfluence measure;
   AreaHistogramSink histogram;
-  CountingSink counter;
   CrestOptions options;
-  options.strip_sink = &histogram;
-  RunCrest(circles, measure, &counter, options);
+  options.use_changed_intervals = false;
+  RunCrest(circles, measure, &histogram, options);
   EXPECT_NEAR(histogram.area_by_influence().at(2.0), 0.2 * 0.4, 1e-12);
   EXPECT_NEAR(histogram.area_by_influence().at(1.0), 2 * 0.2 * 0.4, 1e-12);
   EXPECT_NEAR(histogram.TotalArea(), 0.6 * 0.4, 1e-12);
@@ -74,10 +72,9 @@ TEST(AreaHistogramTest, MatchesRasterApproximationOnRandomInput) {
   }
   SizeInfluence measure;
   AreaHistogramSink histogram;
-  CountingSink counter;
   CrestOptions options;
-  options.strip_sink = &histogram;
-  RunCrest(circles, measure, &counter, options);
+  options.use_changed_intervals = false;
+  RunCrest(circles, measure, &histogram, options);
   // Monte-Carlo estimate of the area with influence >= 2 over the same
   // bounding box must agree within sampling error.
   Rect box = EmptyRect();

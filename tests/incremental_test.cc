@@ -99,42 +99,16 @@ std::vector<NnCircle> RandomCircles(uint64_t seed, int n) {
   return out;
 }
 
-// RunCrestSlab must label the slab's regions exactly like the regions a
-// full sweep labels there (modulo clipping of representative boxes).
-TEST(RunCrestSlabTest, SlabLabelsMatchFullSweepWithinTheSlab) {
-  const auto circles = RandomCircles(90, 60);
-  SizeInfluence measure;
-  for (const Metric metric : {Metric::kLInf, Metric::kL2}) {
-    DistinctSetSink full;
-    std::vector<RegionLabelSink*> full_sinks{&full};
-    RunCrestParallelMetric(metric, circles, measure, full_sinks);
-    DistinctSetSink slab;
-    RunCrestSlabMetric(metric, circles, measure, &slab, 0.3, 0.7);
-    auto slab_sets = slab.sets();
-    slab_sets.erase(std::vector<int32_t>{});
-    auto full_sets = full.sets();
-    full_sets.erase(std::vector<int32_t>{});
-    EXPECT_FALSE(slab_sets.empty());
-    for (const auto& [set, influence] : slab_sets) {
-      const auto it = full_sets.find(set);
-      ASSERT_NE(it, full_sets.end()) << MetricName(metric);
-      EXPECT_EQ(it->second, influence);
-    }
-  }
-}
-
-// Painting only the dirty slab of a grid whose other columns hold the
+// Painting only the dirty columns of a grid whose other columns hold the
 // old raster must reproduce the new full raster bit for bit.
 TEST(RecomputeDirtyColumnsTest, SpliceEqualsFullRebuild) {
   SizeInfluence measure;
   const Rect domain{{-0.05, -0.05}, {1.05, 1.05}};
   constexpr int kRes = 40;
-  for (const Metric metric : {Metric::kLInf, Metric::kL2}) {
+  for (const Metric metric : {Metric::kLInf, Metric::kL1, Metric::kL2}) {
     auto circles = RandomCircles(91, 50);
     HeatmapGrid grid =
-        metric == Metric::kL2
-            ? BuildHeatmapL2(circles, measure, domain, kRes, kRes)
-            : BuildHeatmapLInf(circles, measure, domain, kRes, kRes);
+        BuildHeatmapForMetric(metric, circles, measure, domain, kRes, kRes);
 
     // Perturb one circle; its old+new footprints bound the change.
     DirtyIntervalSet dirty;
@@ -152,26 +126,22 @@ TEST(RecomputeDirtyColumnsTest, SpliceEqualsFullRebuild) {
     EXPECT_EQ(stats.total_columns, kRes);
 
     const HeatmapGrid reference =
-        metric == Metric::kL2
-            ? BuildHeatmapL2(circles, measure, domain, kRes, kRes)
-            : BuildHeatmapLInf(circles, measure, domain, kRes, kRes);
+        BuildHeatmapForMetric(metric, circles, measure, domain, kRes, kRes);
     EXPECT_EQ(grid.values(), reference.values()) << MetricName(metric);
   }
 }
 
-// The 2D dirty-rect splice: restricting reset + repaint to the dirty row
+// The 2D dirty-rect splice: restricting the repaint to the dirty row
 // window must still reproduce the new full raster bit for bit, while
 // touching only the dirty area's pixels.
 TEST(RecomputeDirtyColumnsTest, DirtyRectSpliceIsBitIdenticalAndAreaBound) {
   SizeInfluence measure;
   const Rect domain{{-0.05, -0.05}, {1.05, 1.05}};
   constexpr int kRes = 40;
-  for (const Metric metric : {Metric::kLInf, Metric::kL2}) {
+  for (const Metric metric : {Metric::kLInf, Metric::kL1, Metric::kL2}) {
     auto circles = RandomCircles(96, 50);
     HeatmapGrid grid =
-        metric == Metric::kL2
-            ? BuildHeatmapL2(circles, measure, domain, kRes, kRes)
-            : BuildHeatmapLInf(circles, measure, domain, kRes, kRes);
+        BuildHeatmapForMetric(metric, circles, measure, domain, kRes, kRes);
 
     // Perturb one circle; its old+new footprint boxes bound the change in
     // both axes.
@@ -193,9 +163,7 @@ TEST(RecomputeDirtyColumnsTest, DirtyRectSpliceIsBitIdenticalAndAreaBound) {
               static_cast<int64_t>(stats.dirty_columns) * kRes);
 
     const HeatmapGrid reference =
-        metric == Metric::kL2
-            ? BuildHeatmapL2(circles, measure, domain, kRes, kRes)
-            : BuildHeatmapLInf(circles, measure, domain, kRes, kRes);
+        BuildHeatmapForMetric(metric, circles, measure, domain, kRes, kRes);
     EXPECT_EQ(grid.values(), reference.values()) << MetricName(metric);
   }
 }
@@ -335,7 +303,7 @@ TEST(SessionIncrementalTest, ShapeMeasureOrInvalidateForcesFullRebuild) {
   EXPECT_FALSE(stats.full_rebuild) << "steady state splices again";
 }
 
-TEST(SessionIncrementalTest, L1SessionsAlwaysRebuildFully) {
+TEST(SessionIncrementalTest, L1SessionsSpliceLikeTheOthers) {
   HeatmapSession session({{0.3, 0.3}, {0.7, 0.7}}, {{0.5, 0.5}},
                          Metric::kL1);
   SizeInfluence measure;
@@ -346,9 +314,10 @@ TEST(SessionIncrementalTest, L1SessionsAlwaysRebuildFully) {
   session.MoveClient(0, {0.4, 0.4});
   const HeatmapGrid& grid =
       session.RasterIncremental(measure, domain, 16, 16, &stats);
-  EXPECT_TRUE(stats.full_rebuild);
-  const HeatmapGrid reference = BuildHeatmapL1Parallel(
-      session.circles(), measure, domain, 16, 16, /*num_slabs=*/1);
+  EXPECT_FALSE(stats.full_rebuild);
+  EXPECT_GT(stats.raster.dirty_pixels, 0);
+  const HeatmapGrid reference = BuildHeatmapForMetric(
+      Metric::kL1, session.circles(), measure, domain, 16, 16);
   EXPECT_EQ(grid.values(), reference.values());
 }
 

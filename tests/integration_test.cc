@@ -245,7 +245,9 @@ TEST(IntegrationTest, HeatmapImagePipelineRuns) {
   SizeInfluence measure;
   const Rect domain = BoundingBox(ds.points, 0.01);
   const HeatmapGrid grid =
-      BuildHeatmapL1(w.clients, w.facilities, measure, domain, 200, 200);
+      BuildHeatmapForMetric(Metric::kL1,
+                            BuildNnCircles(w.clients, w.facilities, Metric::kL1),
+                            measure, domain, 200, 200);
   EXPECT_GT(grid.MaxValue(), 1.0);
   // Some pixels must be hot, most lukewarm (city data is clustered).
   int hot = 0;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -41,6 +43,32 @@ HeatmapResponse MakeResponse(const HeatmapRequest& request) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, SingleWorker());
   return engine.Execute(request);
+}
+
+// Entries pack integer-valued grids; every other value must still come
+// back bit for bit: fractions, -0.0, NaN, values past the 16-bit range.
+TEST(SweepCacheTest, PackedAndUnpackedGridsRoundTripBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 1.0, 65535.0, 7.0},      // packs
+      {0.0, 1.5, 2.0, 3.0},          // fraction
+      {0.0, -0.0, 2.0, 3.0},         // negative zero
+      {0.0, nan, 2.0, 3.0},          // NaN
+      {0.0, 65536.0, 2.0, 3.0},      // past 16 bits
+      {0.0, -1.0, 2.0, 3.0}};        // negative
+  SweepCache cache(SweepCacheOptions{});
+  const HeatmapRequest request = MakeRequest(2);
+  for (const std::vector<double>& values : cases) {
+    HeatmapResponse response = MakeResponse(request);
+    response.grid = HeatmapGrid(2, 2, Rect{{0, 0}, {1, 1}}, values);
+    cache.Insert(request, response);
+    const auto hit = cache.Lookup(request);
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_EQ(hit->grid.values().size(), values.size());
+    EXPECT_EQ(std::memcmp(hit->grid.values().data(), values.data(),
+                          values.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(SweepCacheTest, MissThenHitReturnsBitIdenticalResponse) {

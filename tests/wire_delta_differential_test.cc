@@ -131,25 +131,20 @@ TEST(WireDeltaDifferentialTest, ReplayMatchesFromScratchAtEverySlabCount) {
       }
       EXPECT_EQ(server.stats().deltas, static_cast<uint64_t>(kNumDeltas));
       EXPECT_EQ(server.stats().errors, 0u);
-      if (metric == Metric::kL1) {
-        // L1 dirty columns are not separable: every delta falls back to a
-        // full resweep, never a splice.
-        EXPECT_EQ(server.stats().delta_splices, 0u);
-      } else {
-        // Same geometry every tick, so every delta deriving a set not
-        // seen before takes the splice path; a tick whose edits change
-        // nothing (e.g. a facility that shrinks no circle) re-derives an
-        // already-cached hash and is answered from the result cache.
-        uint64_t fresh = 0;
-        for (size_t i = 1; i < corpus.hashes.size(); ++i) {
-          bool seen = false;
-          for (size_t j = 0; j < i; ++j) {
-            seen = seen || corpus.hashes[j] == corpus.hashes[i];
-          }
-          if (!seen) ++fresh;
+      // Same geometry every tick, so every delta deriving a set not seen
+      // before takes the splice path — for every metric, L1 included; a
+      // tick whose edits change nothing (e.g. a facility that shrinks no
+      // circle) re-derives an already-cached hash and is answered from
+      // the result cache.
+      uint64_t fresh = 0;
+      for (size_t i = 1; i < corpus.hashes.size(); ++i) {
+        bool seen = false;
+        for (size_t j = 0; j < i; ++j) {
+          seen = seen || corpus.hashes[j] == corpus.hashes[i];
         }
-        EXPECT_EQ(server.stats().delta_splices, fresh);
+        if (!seen) ++fresh;
       }
+      EXPECT_EQ(server.stats().delta_splices, fresh);
     }
   }
 }

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
@@ -1083,6 +1085,119 @@ TEST(WireServerTest, EvictedHandleKeepsPinnedSnapshotAlive) {
             WireStatus::kUnknownCircleSet);
   EXPECT_EQ(pinned->circles().size(), 10u);
   EXPECT_EQ(pinned->content_hash(), set->content_hash());
+}
+
+// --- Ingress validation: non-finite input never reaches a raster --------
+
+constexpr Metric kAllMetrics[] = {Metric::kLInf, Metric::kL1, Metric::kL2};
+
+// Decodes a server reply and expects a kMalformedRequest refusal whose
+// message names the non-finite input.
+void ExpectRefusedAsNonFinite(const std::vector<uint8_t>& reply,
+                              const std::string& label) {
+  std::string error;
+  const auto decoded = DecodeResponse(reply, &error);
+  ASSERT_TRUE(decoded.has_value()) << label << ": " << error;
+  EXPECT_EQ(decoded->status, WireStatus::kMalformedRequest) << label;
+  EXPECT_NE(decoded->error.find("non-finite"), std::string::npos)
+      << label << ": " << decoded->error;
+}
+
+// Ordinary circles plus `bad` as the last one, inline in a request.
+WireRequest RequestWithBadCircle(const NnCircle& bad, Metric metric,
+                                 int size) {
+  std::vector<NnCircle> circles = MakeCircles(61, 6);
+  circles.push_back(bad);
+  const auto set = CircleSetSnapshot::Make(std::move(circles), metric);
+  return MakeWireRequest(*set, kDomain, size, size, /*include_circles=*/true);
+}
+
+TEST(WireIngressTest, InfiniteRadiusIsRefusedForEveryMetric) {
+  // Regression: an 8x8 L2 map over a set holding a +inf-radius disk once
+  // never finished. Every op that carries circles now refuses the set at
+  // decode, before anything is registered or painted.
+  const double inf = std::numeric_limits<double>::infinity();
+  const NnCircle bad{{0.5, 0.5}, inf, 6};
+  for (const Metric metric : kAllMetrics) {
+    SizeInfluence measure;
+    HeatmapEngineOptions options;
+    options.num_threads = 1;
+    HeatmapEngine engine(measure, options);
+    WireServer server(engine);
+    const std::string label = MetricName(metric);
+    const WireRequest plain = RequestWithBadCircle(bad, metric, 8);
+    ExpectRefusedAsNonFinite(server.HandleFrame(EncodeRequest(plain)),
+                             label + " plain");
+    WireTileRequest tile;
+    tile.metric = metric;
+    tile.set_hash = plain.set_hash;
+    tile.inline_circles = true;
+    tile.circles = plain.circles;
+    tile.domain = kDomain;
+    tile.width = tile.height = 8;
+    tile.tile_rows = tile.tile_cols = 2;
+    tile.tile_id = 0;
+    ExpectRefusedAsNonFinite(server.HandleFrame(EncodeTileRequest(tile)),
+                             label + " tile");
+    const std::vector<NnCircle> base = MakeCircles(62, 4);
+    const CircleSetEdit append{CircleSetEdit::Kind::kAppend, 0, bad};
+    ExpectRefusedAsNonFinite(
+        server.HandleFrame(EncodeDeltaRequest(MakeDelta(
+            base, std::span<const CircleSetEdit>(&append, 1), metric, 8))),
+        label + " delta");
+    EXPECT_EQ(engine.registry().size(), 0u) << label;
+    EXPECT_EQ(server.stats().errors, 3u) << label;
+  }
+}
+
+TEST(WireIngressTest, NanCircleIsRefusedInsteadOfBlankingAnother) {
+  // Regression: under L2 a circle with a NaN center or radius once blanked
+  // a *different*, valid circle's pixels (12 of 64 wrong). The wire now
+  // refuses such a set outright; the valid circles alone are served exact.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const NnCircle bad_circles[] = {{{nan, 0.5}, 0.2, 6},
+                                  {{0.5, nan}, 0.2, 6},
+                                  {{0.5, 0.5}, nan, 6}};
+  for (const Metric metric : kAllMetrics) {
+    SizeInfluence measure;
+    HeatmapEngineOptions options;
+    options.num_threads = 1;
+    HeatmapEngine engine(measure, options);
+    WireServer server(engine);
+    for (const NnCircle& bad : bad_circles) {
+      ExpectRefusedAsNonFinite(
+          server.HandleFrame(EncodeRequest(RequestWithBadCircle(bad, metric,
+                                                                8))),
+          MetricName(metric));
+    }
+    const auto valid = CircleSetSnapshot::Make(MakeCircles(61, 6), metric);
+    std::string error;
+    const auto served = DecodeResponse(
+        server.HandleFrame(EncodeRequest(MakeWireRequest(
+            *valid, kDomain, 8, 8, /*include_circles=*/true))),
+        &error);
+    ASSERT_TRUE(served.has_value()) << error;
+    ASSERT_EQ(served->status, WireStatus::kOk) << served->error;
+    EXPECT_EQ(served->response->grid.values(),
+              BuildHeatmapBruteForce(valid->circles(), metric, measure,
+                                     kDomain, 8, 8)
+                  .values())
+        << MetricName(metric);
+  }
+}
+
+TEST(WireIngressTest, NonFiniteDomainIsRefused) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Rect bad_domains[] = {{{-inf, 0.0}, {1.0, 1.0}},
+                              {{0.0, 0.0}, {1.0, inf}},
+                              {{-1e308, 0.0}, {1e308, 1.0}}};  // extent
+  for (const Rect& domain : bad_domains) {
+    WireRequest request = InlineRequest(63, 4, Metric::kLInf, 8);
+    request.domain = domain;
+    std::string error;
+    EXPECT_FALSE(DecodeRequest(EncodeRequest(request), &error).has_value());
+    EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 //           [--size N] [--threads T] [--out map.ppm] [--ascii]
 //           [--cache BYTES] [--repeat N] [--tiles RxC]
 //       Build the RNN heat map (size measure) and export it. --threads
-//       slab-parallelizes the linf, l1 and l2 sweeps (bit-identical
-//       output for every thread count). --tiles partitions the domain
-//       into an R x C tile grid and sweeps each tile over just the
-//       circles that can influence it (src/tile/tile_plan.h) — output
-//       bit-identical to the untiled sweep for every grid. --cache
+//       paints that many column blocks in parallel, for every metric
+//       (bit-identical output for every thread count). --tiles
+//       partitions the domain into an R x C tile grid and paints each
+//       tile over just the circles that can influence it
+//       (src/tile/tile_plan.h) — output bit-identical to the untiled
+//       raster for every grid. --cache
 //       routes the build through a HeatmapEngine with a result cache of
 //       that many bytes and runs it --repeat times (default 2),
 //       reporting cold/warm timings and hit counters; with --tiles the
@@ -21,7 +22,7 @@
 //          [--size N] [--edits K] [--seed S] [--verify] [--out map.ppm]
 //       Edit-replay mode: start a HeatmapSession, apply K random edits
 //       (move/add client, add/remove facility) and refresh the map after
-//       each via the incremental re-sweep, reporting per-tick dirty
+//       each via the incremental splice, reporting per-tick dirty
 //       columns and timings. --verify additionally rebuilds each tick
 //       from scratch and fails unless the spliced raster is bit-identical.
 //   topk --clients A.csv --facilities B.csv [--metric ...] [--k K]
@@ -371,9 +372,9 @@ int CmdHeatmap(const Args& args) {
       return std::move(last.grid);
     }
     if (tile_rows > 0) {
-      // Tiled sweep: partition the domain, sweep each tile over just the
+      // Tiled raster: partition the domain, paint each tile over just the
       // circles that can influence it, stitch — bit-identical to the
-      // untiled builders below.
+      // untiled builder below.
       const auto circles = BuildNnCircles(clients, facilities, metric);
       TilePlanOptions plan_options;
       plan_options.rows = tile_rows;
@@ -381,23 +382,9 @@ int CmdHeatmap(const Args& args) {
       const TilePlan plan(metric, circles, domain, size, size, plan_options);
       return plan.Run(measure, threads);
     }
-    switch (metric) {
-      case Metric::kLInf:
-        return BuildHeatmapLInfParallel(
-            BuildNnCircles(clients, facilities, Metric::kLInf), measure,
-            domain, size, size, threads);
-      case Metric::kL1:
-        return BuildHeatmapL1Parallel(
-            BuildNnCircles(clients, facilities, Metric::kL1), measure,
-            domain, size, size, threads);
-      case Metric::kL2:
-      default:
-        // Exact arc-sweep rasterization (exact at pixel centers),
-        // slab-parallel across --threads.
-        return BuildHeatmapL2Parallel(
-            BuildNnCircles(clients, facilities, Metric::kL2), measure,
-            domain, size, size, threads);
-    }
+    return BuildHeatmapForMetric(
+        metric, BuildNnCircles(clients, facilities, metric), measure, domain,
+        size, size, threads);
   }();
   std::printf("heat map %dx%d, max influence %.0f\n", size, size,
               grid.MaxValue());
@@ -442,7 +429,7 @@ int CmdReplay(const Args& args) {
 
   Stopwatch sw;
   session.RasterIncremental(measure, domain, size, size);
-  std::printf("initial %dx%d map (%s): %.2f ms full sweep\n", size, size,
+  std::printf("initial %dx%d map (%s): %.2f ms full raster\n", size, size,
               MetricName(metric).c_str(), sw.ElapsedMs());
 
   Rng rng(seed);
@@ -554,17 +541,16 @@ int CmdStats(const Args& args) {
   }
   if (metric == Metric::kL2) {
     std::fprintf(stderr,
-                 "stats uses the exact strip decomposition (linf/l1)\n");
+                 "stats uses the exact rectangle decomposition (linf/l1)\n");
     return 1;
   }
   SizeInfluence measure;
   auto circles = BuildNnCircles(clients, facilities, metric);
   if (metric == Metric::kL1) circles = RotateCirclesToLInf(circles);
   AreaHistogramSink histogram;
-  CountingSink counter;
   CrestOptions options;
-  options.strip_sink = &histogram;
-  RunCrest(circles, measure, &counter, options);
+  options.use_changed_intervals = false;  // CREST-A labels tile every strip
+  RunCrest(circles, measure, &histogram, options);
   const double total = histogram.TotalArea();
   std::printf("arrangement area: %.6f (note: L1 stats are computed in the "
               "rotated frame; areas are preserved)\n", total);
@@ -987,7 +973,7 @@ int CmdWirePack(const Args& args) {
     // Delta stream: one inline request establishes the base set, then
     // every tick of a randomly edited session travels as a v4 delta
     // frame (base hash + edit journal + expected derived hash) at the
-    // same geometry, so the server can splice instead of resweeping.
+    // same geometry, so the server can splice instead of repainting.
     HeatmapSession session(clients, facilities, metric);
     const auto base = CircleSetSnapshot::Make(session.circles(), metric);
     num_circles = base->circles().size();
