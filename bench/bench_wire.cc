@@ -1,10 +1,16 @@
 // Wire protocol + handle-vs-inline serving benchmark.
 //
-// Three phases:
+// Four phases:
 //   * codec/request  — encode/decode throughput of framed v2 requests
 //                      (inline circle payloads, content-hash verified);
 //   * codec/response — encode/decode throughput of full responses (the
-//                      grid payload dominates);
+//                      grid payload dominates; a Size map travels as
+//                      16-bit counts, packed by the encoder's fused scan);
+//   * encode_hit     — a warm cache hit turned into a response frame, the
+//                      wire server's hot path: `packed` encodes the cached
+//                      counts as they are, `widened` takes the hit as
+//                      doubles and encodes those, as every caller of the
+//                      HeatmapResponse overloads does;
 //   * submit         — per-call latency of a warm cache-enabled engine,
 //                      legacy inline Execute (hashes the circle vector
 //                      every call) vs v2 handle Execute (precomputed hash,
@@ -12,10 +18,13 @@
 //
 // Besides the text table, the run writes a machine-readable summary to
 // BENCH_wire.json (override with RNNHM_BENCH_JSON_WIRE): one record per
-// (phase, variant) with MB/s for the codec phases and microseconds per
-// call for the submit phase. Set RNNHM_BENCH_FULL=1 for larger sizes.
+// (phase, variant) with MB/s for the codec and encode_hit phases — over
+// the grid's width * height * 8 double bytes, so a smaller encoding reads
+// as faster, not slower — and microseconds per call for the submit and
+// encode_hit phases. Set RNNHM_BENCH_FULL=1 for larger sizes.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,10 +42,10 @@ struct JsonRecord {
   std::string phase;
   std::string variant;
   long work;        // circles (codec/request), pixels (codec/response),
-                    // calls (submit)
+                    // calls (submit, encode_hit)
   double ms;        // total wall time of the timed loop
-  double mb_per_s;  // codec phases; 0 for submit
-  double us_per_call;  // submit phase; 0 for codec
+  double mb_per_s;  // codec and encode_hit phases; 0 for submit
+  double us_per_call;  // submit and encode_hit phases; 0 for codec
 };
 
 std::vector<NnCircle> MakeCircles(uint64_t seed, size_t n) {
@@ -101,10 +110,10 @@ void RunResponseCodec(int resolution, int iters,
       if (!DecodeResponse(bytes, &error).has_value()) std::abort();
     }
   });
-  const double mb = static_cast<double>(bytes.size()) * iters / 1e6;
+  const long pixels = static_cast<long>(resolution) * resolution;
+  const double mb = static_cast<double>(pixels) * sizeof(double) * iters / 1e6;
   const double encode_mbs = encode_ms > 0 ? mb / (encode_ms / 1e3) : 0.0;
   const double decode_mbs = decode_ms > 0 ? mb / (decode_ms / 1e3) : 0.0;
-  const long pixels = static_cast<long>(resolution) * resolution;
   std::printf("[codec/response] %dx%d grid (%zu bytes): encode %.0f MB/s, "
               "decode %.0f MB/s\n",
               resolution, resolution, bytes.size(), encode_mbs, decode_mbs);
@@ -114,6 +123,48 @@ void RunResponseCodec(int resolution, int iters,
   records->push_back(
       JsonRecord{"codec_response", "decode", pixels, decode_ms, decode_mbs,
                  0.0});
+}
+
+void RunEncodeHit(int resolution, int iters,
+                  std::vector<JsonRecord>* records) {
+  SizeInfluence measure;
+  HeatmapEngineOptions options;
+  options.num_threads = 1;
+  options.cache_bytes = 64ull << 20;
+  HeatmapEngine engine(measure, options);
+  const HeatmapRequestV2 request{
+      engine.registry().Register(MakeCircles(14, 500), Metric::kLInf),
+      kDomain, resolution, resolution};
+  (void)engine.Execute(request);  // warm the cache
+  size_t frame_bytes = 0;
+  const double packed_ms = TimeMs([&] {
+    for (int i = 0; i < iters; ++i) {
+      std::optional<PackedHeatmapResponse> hit;
+      if (!engine.ExecuteChecked(request, &hit).ok()) std::abort();
+      frame_bytes = EncodeResponse(*hit).size();
+    }
+  });
+  const double widened_ms = TimeMs([&] {
+    for (int i = 0; i < iters; ++i) {
+      std::optional<HeatmapResponse> hit;
+      if (!engine.ExecuteChecked(request, &hit).ok()) std::abort();
+      (void)EncodeResponse(*hit).size();
+    }
+  });
+  const long pixels = static_cast<long>(resolution) * resolution;
+  const double mb = static_cast<double>(pixels) * sizeof(double) * iters / 1e6;
+  const double packed_us = packed_ms * 1e3 / iters;
+  const double widened_us = widened_ms * 1e3 / iters;
+  std::printf("[encode_hit] %dx%d cached hit to a %zu-byte frame: packed "
+              "%.1f us/call, widened %.1f us/call (%.1fx)\n",
+              resolution, resolution, frame_bytes, packed_us, widened_us,
+              packed_us > 0 ? widened_us / packed_us : 0.0);
+  records->push_back(JsonRecord{"encode_hit", "packed", iters, packed_ms,
+                                packed_ms > 0 ? mb / (packed_ms / 1e3) : 0.0,
+                                packed_us});
+  records->push_back(JsonRecord{"encode_hit", "widened", iters, widened_ms,
+                                widened_ms > 0 ? mb / (widened_ms / 1e3) : 0.0,
+                                widened_us});
 }
 
 void RunSubmitLatency(size_t circles, int resolution, int iters,
@@ -180,10 +231,12 @@ void Run() {
   const int codec_iters = full ? 200 : 50;
   const int resolution = full ? 512 : 256;
   const int submit_iters = full ? 2000 : 500;
+  const int hit_iters = full ? 4000 : 2000;
 
   std::vector<JsonRecord> records;
   RunRequestCodec(circles, codec_iters, &records);
   RunResponseCodec(resolution, codec_iters, &records);
+  RunEncodeHit(resolution, hit_iters, &records);
   RunSubmitLatency(circles, 128, submit_iters, &records);
   WriteJson(records);
 }

@@ -65,7 +65,7 @@ SweepCacheKey TileKey(uint64_t subset_hash, const Rect& domain, int width,
 // The response counters of a kernel run (the mapping query/wire.h
 // documents): the fields every metric shares; sweep-only counters stay 0.
 void AddKernelStats(Metric metric, const ColumnRasterStats& s,
-                    HeatmapResponse* response) {
+                    PackedHeatmapResponse* response) {
   if (metric == Metric::kL2) {
     CrestL2Stats& l2 = response->l2_stats;
     l2.num_circles += s.num_circles;
@@ -99,6 +99,43 @@ void AccumulateL2(CrestL2Stats* into, const CrestL2Stats& s) {
 }
 
 }  // namespace
+
+// One served map in the forms its path produced: `wide` when the grid was
+// just painted, `packed.grid` when it came from or went into the cache
+// (both on an admitted miss). `packed` always carries the counters. Each
+// public entry point takes the form it returns, so a missing form is
+// converted at most once, at that boundary, and a cache hit taken packed
+// is never widened.
+struct HeatmapEngine::Served {
+  std::optional<HeatmapGrid> wide;
+  PackedHeatmapResponse packed;
+
+  // Packs the painted grid, unless this map is already packed.
+  void EnsurePacked() {
+    if (packed.grid == nullptr) {
+      packed.grid = std::make_shared<const PackedGrid>(PackedGrid::Pack(*wide));
+    }
+  }
+
+  HeatmapResponse TakeWide() && {
+    if (!wide.has_value()) return packed.Unpack();
+    return HeatmapResponse{std::move(*wide), packed.stats, packed.l2_stats,
+                           packed.from_cache, packed.cache};
+  }
+
+  // The checked entry points' delivery, one per response form.
+  void MoveInto(std::optional<HeatmapResponse>* out) && {
+    *out = std::move(*this).TakeWide();
+  }
+  void MoveInto(std::optional<PackedHeatmapResponse>* out) && {
+    EnsurePacked();
+    *out = std::move(packed);
+  }
+};
+
+HeatmapResponse PackedHeatmapResponse::Unpack() const {
+  return HeatmapResponse{grid->Unpack(), stats, l2_stats, from_cache, cache};
+}
 
 HeatmapEngine::HeatmapEngine(const InfluenceMeasure& measure,
                              HeatmapEngineOptions options)
@@ -192,38 +229,50 @@ std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
 HeatmapResponse HeatmapEngine::Execute(const HeatmapRequest& request) const {
   ValidateGeometry(request.domain, request.width, request.height);
   if (cache_ == nullptr) {
-    return Sweep(request.circles, request.metric, request.domain,
-                 request.width, request.height);
+    Served served = Sweep(request.circles, request.metric, request.domain,
+                          request.width, request.height);
+    return std::move(served).TakeWide();
   }
   // Hash in place (no snapshot yet): a hit is served without touching the
   // caller's circle vector, a miss copies it once into the cache entry.
   const SweepCacheKey key = SweepCache::KeyOf(request);
-  std::optional<HeatmapResponse> hit =
+  std::optional<PackedHeatmapResponse> hit =
       cache_->Lookup(key, request.circles, request.metric);
-  if (hit.has_value()) return std::move(*hit);
-  HeatmapResponse response = Sweep(request.circles, request.metric,
-                                   request.domain, request.width,
-                                   request.height);
-  cache_->Insert(key, CircleSetSnapshot::Make(request.circles, request.metric),
-                 response);
-  response.cache = cache_->stats();
-  return response;
+  if (hit.has_value()) return hit->Unpack();
+  Served served = Sweep(request.circles, request.metric, request.domain,
+                        request.width, request.height);
+  Admit(key, CircleSetSnapshot::Make(request.circles, request.metric),
+        &served);
+  return std::move(served).TakeWide();
 }
 
 HeatmapResponse HeatmapEngine::Execute(HeatmapRequest&& request) const {
   ValidateGeometry(request.domain, request.width, request.height);
-  return Serve(ResolvedRequest{
+  Served served = Serve(ResolvedRequest{
       CircleSetSnapshot::Make(std::move(request.circles), request.metric),
       request.domain, request.width, request.height});
+  return std::move(served).TakeWide();
 }
 
 HeatmapResponse HeatmapEngine::Execute(const HeatmapRequestV2& request) const {
-  return Serve(Resolve(request));
+  return Serve(Resolve(request)).TakeWide();
 }
 
 Status HeatmapEngine::ExecuteChecked(
     const HeatmapRequestV2& request,
     std::optional<HeatmapResponse>* response) const {
+  return ServeChecked(request, response);
+}
+
+Status HeatmapEngine::ExecuteChecked(
+    const HeatmapRequestV2& request,
+    std::optional<PackedHeatmapResponse>* response) const {
+  return ServeChecked(request, response);
+}
+
+template <typename Response>
+Status HeatmapEngine::ServeChecked(const HeatmapRequestV2& request,
+                                   std::optional<Response>* response) const {
   if (const Status status =
           CheckGeometry(request.domain, request.width, request.height);
       !status.ok()) {
@@ -235,8 +284,9 @@ Status HeatmapEngine::ExecuteChecked(
     return Status::NotFound("handle is not registered with this engine");
   }
   try {
-    *response = Serve(ResolvedRequest{std::move(set), request.domain,
-                                      request.width, request.height});
+    Served served = Serve(ResolvedRequest{std::move(set), request.domain,
+                                          request.width, request.height});
+    std::move(served).MoveInto(response);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
   } catch (...) {
@@ -270,13 +320,17 @@ HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
       ++tstats.background_tiles;
       continue;
     }
-    HeatmapResponse fragment =
-        ServeTileFragment(plan, t, set.metric(), resolved.domain,
-                          resolved.width, resolved.height);
-    TilePlan::StitchFragment(t.window, fragment.grid, &out.grid);
-    AccumulateCrest(&out.stats, fragment.stats);
-    AccumulateL2(&out.l2_stats, fragment.l2_stats);
-    if (fragment.from_cache) {
+    Served fragment = ServeTileFragment(plan, t, set.metric(), resolved.domain,
+                                        resolved.width, resolved.height);
+    if (fragment.wide.has_value()) {
+      TilePlan::StitchFragment(t.window, *fragment.wide, &out.grid);
+    } else {
+      fragment.packed.grid->WidenInto(t.window.col_lo, t.window.row_lo,
+                                      &out.grid);
+    }
+    AccumulateCrest(&out.stats, fragment.packed.stats);
+    AccumulateL2(&out.l2_stats, fragment.packed.l2_stats);
+    if (fragment.packed.from_cache) {
       ++tstats.cached_tiles;
     } else {
       ++tstats.swept_tiles;
@@ -292,6 +346,21 @@ HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
 Status HeatmapEngine::ExecuteTileFragmentChecked(
     const HeatmapRequestV2& request, int tile_rows, int tile_cols,
     int tile_id, std::optional<HeatmapResponse>* response) const {
+  return ServeTileFragmentChecked(request, tile_rows, tile_cols, tile_id,
+                                  response);
+}
+
+Status HeatmapEngine::ExecuteTileFragmentChecked(
+    const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+    int tile_id, std::optional<PackedHeatmapResponse>* response) const {
+  return ServeTileFragmentChecked(request, tile_rows, tile_cols, tile_id,
+                                  response);
+}
+
+template <typename Response>
+Status HeatmapEngine::ServeTileFragmentChecked(
+    const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+    int tile_id, std::optional<Response>* response) const {
   if (const Status status =
           CheckGeometry(request.domain, request.width, request.height);
       !status.ok()) {
@@ -318,8 +387,9 @@ Status HeatmapEngine::ExecuteTileFragmentChecked(
       return Status::InvalidArgument(
           "tile window is empty at this resolution");
     }
-    *response = ServeTileFragment(plan, t, set->metric(), request.domain,
-                                  request.width, request.height);
+    Served served = ServeTileFragment(plan, t, set->metric(), request.domain,
+                                      request.width, request.height);
+    std::move(served).MoveInto(response);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
   } catch (...) {
@@ -334,6 +404,26 @@ Status HeatmapEngine::ExecuteDeltaChecked(
     int height, CircleSetHandle* derived,
     std::optional<HeatmapResponse>* response, bool* spliced,
     IncrementalRasterStats* splice_stats) const {
+  return ServeDeltaChecked(base, edits, expected_hash, domain, width, height,
+                           derived, response, spliced, splice_stats);
+}
+
+Status HeatmapEngine::ExecuteDeltaChecked(
+    const CircleSetHandle& base, std::span<const CircleSetEdit> edits,
+    std::optional<uint64_t> expected_hash, const Rect& domain, int width,
+    int height, CircleSetHandle* derived,
+    std::optional<PackedHeatmapResponse>* response, bool* spliced,
+    IncrementalRasterStats* splice_stats) const {
+  return ServeDeltaChecked(base, edits, expected_hash, domain, width, height,
+                           derived, response, spliced, splice_stats);
+}
+
+template <typename Response>
+Status HeatmapEngine::ServeDeltaChecked(
+    const CircleSetHandle& base, std::span<const CircleSetEdit> edits,
+    std::optional<uint64_t> expected_hash, const Rect& domain, int width,
+    int height, CircleSetHandle* derived, std::optional<Response>* response,
+    bool* spliced, IncrementalRasterStats* splice_stats) const {
   if (spliced != nullptr) *spliced = false;
   if (splice_stats != nullptr) *splice_stats = IncrementalRasterStats{};
   if (const Status status = CheckGeometry(domain, width, height);
@@ -360,31 +450,31 @@ Status HeatmapEngine::ExecuteDeltaChecked(
     if (cache_ != nullptr) {
       const SweepCacheKey derived_key{set->content_hash(), domain, width,
                                       height};
-      std::optional<HeatmapResponse> hit = cache_->Lookup(derived_key, set);
+      std::optional<PackedHeatmapResponse> hit =
+          cache_->Lookup(derived_key, set);
       if (hit.has_value()) {
-        *response = std::move(*hit);
+        Served{std::nullopt, std::move(*hit)}.MoveInto(response);
         return Status::Ok();
       }
       // Splice: reuse the base raster when the cache still holds it.
       const SweepCacheKey base_key{base_set->content_hash(), domain, width,
                                    height};
-      std::optional<HeatmapResponse> base_hit =
+      std::optional<PackedHeatmapResponse> base_hit =
           cache_->Lookup(base_key, base_set);
       if (base_hit.has_value()) {
-        HeatmapGrid grid = std::move(base_hit->grid);
+        Served splice{base_hit->grid->Unpack(), {}};
         const IncrementalRasterStats inc = RecomputeDirtyColumns(
-            &grid, set->metric(), set->circles(), measure_, dirty);
-        HeatmapResponse served{std::move(grid), {}, {}, false, {}};
-        AddKernelStats(set->metric(), inc.kernel, &served);
-        cache_->Insert(derived_key, set, served);
-        served.cache = cache_->stats();
+            &*splice.wide, set->metric(), set->circles(), measure_, dirty);
+        AddKernelStats(set->metric(), inc.kernel, &splice.packed);
+        Admit(derived_key, set, &splice);
         if (spliced != nullptr) *spliced = true;
         if (splice_stats != nullptr) *splice_stats = inc;
-        *response = std::move(served);
+        std::move(splice).MoveInto(response);
         return Status::Ok();
       }
     }
-    *response = Serve(ResolvedRequest{std::move(set), domain, width, height});
+    const ResolvedRequest resolved{std::move(set), domain, width, height};
+    Serve(resolved).MoveInto(response);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
   } catch (...) {
@@ -393,65 +483,67 @@ Status HeatmapEngine::ExecuteDeltaChecked(
   return Status::Ok();
 }
 
-HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
-                                                 const Tile& t, Metric metric,
-                                                 const Rect& domain, int width,
-                                                 int height) const {
+HeatmapEngine::Served HeatmapEngine::ServeTileFragment(
+    const TilePlan& plan, const Tile& t, Metric metric, const Rect& domain,
+    int width, int height) const {
+  const int blocks = options_.slabs_per_request;
   if (t.circles.empty()) {
     // Background fragment: nothing to paint, nothing worth caching.
-    HeatmapGrid fragment =
-        plan.SweepTileFragment(t, measure_, options_.slabs_per_request);
-    return HeatmapResponse{std::move(fragment), {}, {}, false, cache_stats()};
+    Served background{plan.SweepTileFragment(t, measure_, blocks), {}};
+    background.packed.cache = cache_stats();
+    return background;
   }
   std::vector<NnCircle> subset = plan.GatherCircles(t);
   const SweepCacheKey key =
       TileKey(HashCircleSet(subset, metric), domain, width, height, t.window);
   if (cache_ != nullptr) {
-    std::optional<HeatmapResponse> hit = cache_->Lookup(key, subset, metric);
-    if (hit.has_value()) return std::move(*hit);
+    std::optional<PackedHeatmapResponse> hit =
+        cache_->Lookup(key, subset, metric);
+    if (hit.has_value()) return Served{std::nullopt, std::move(*hit)};
   }
   ColumnRasterStats stats;
-  HeatmapGrid fragment = plan.SweepTileFragment(
-      t, measure_, options_.slabs_per_request, &stats);
-  HeatmapResponse response{std::move(fragment), {}, {}, false, {}};
-  AddKernelStats(metric, stats, &response);
+  Served served{plan.SweepTileFragment(t, measure_, blocks, &stats), {}};
+  AddKernelStats(metric, stats, &served.packed);
   if (cache_ != nullptr) {
-    cache_->Insert(key, CircleSetSnapshot::Make(std::move(subset), metric),
-                   response);
-    response.cache = cache_->stats();
+    Admit(key, CircleSetSnapshot::Make(std::move(subset), metric), &served);
   }
-  return response;
+  return served;
 }
 
-HeatmapResponse HeatmapEngine::Serve(const ResolvedRequest& request) const {
+HeatmapEngine::Served HeatmapEngine::Serve(
+    const ResolvedRequest& request) const {
   const CircleSetSnapshot& set = *request.set;
   if (cache_ != nullptr) {
     const SweepCacheKey key{set.content_hash(), request.domain, request.width,
                             request.height};
-    std::optional<HeatmapResponse> hit = cache_->Lookup(key, request.set);
-    if (hit.has_value()) return std::move(*hit);
-    HeatmapResponse response = Sweep(set.circles(), set.metric(),
-                                     request.domain, request.width,
-                                     request.height);
-    cache_->Insert(key, request.set, response);
-    response.cache = cache_->stats();
-    return response;
+    std::optional<PackedHeatmapResponse> hit = cache_->Lookup(key, request.set);
+    if (hit.has_value()) return Served{std::nullopt, std::move(*hit)};
+    Served served = Sweep(set.circles(), set.metric(), request.domain,
+                          request.width, request.height);
+    Admit(key, request.set, &served);
+    return served;
   }
   return Sweep(set.circles(), set.metric(), request.domain, request.width,
                request.height);
 }
 
-HeatmapResponse HeatmapEngine::Sweep(const std::vector<NnCircle>& circles,
-                                     Metric metric, const Rect& domain,
-                                     int width, int height) const {
-  HeatmapResponse response{
-      HeatmapGrid(width, height, domain, measure_.Evaluate({})), {}, {},
-      false, {}};
+HeatmapEngine::Served HeatmapEngine::Sweep(
+    const std::vector<NnCircle>& circles, Metric metric, const Rect& domain,
+    int width, int height) const {
+  Served served{HeatmapGrid(width, height, domain, measure_.Evaluate({})), {}};
   AddKernelStats(metric,
                  RasterizeGrid(metric, circles, measure_,
-                               options_.slabs_per_request, &response.grid),
-                 &response);
-  return response;
+                               options_.slabs_per_request, &*served.wide),
+                 &served.packed);
+  return served;
+}
+
+void HeatmapEngine::Admit(const SweepCacheKey& key,
+                          std::shared_ptr<const CircleSetSnapshot> set,
+                          Served* served) const {
+  served->EnsurePacked();
+  cache_->Insert(key, std::move(set), served->packed);
+  served->packed.cache = cache_->stats();
 }
 
 size_t HeatmapEngine::pending() const {
@@ -478,7 +570,7 @@ void HeatmapEngine::WorkerLoop() {
     std::optional<HeatmapResponse> response;
     std::exception_ptr error;
     try {
-      response.emplace(Serve(work->request));
+      response.emplace(Serve(work->request).TakeWide());
     } catch (...) {
       error = std::current_exception();
     }

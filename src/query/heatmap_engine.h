@@ -60,6 +60,7 @@
 #include "geom/geometry.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/incremental.h"
+#include "heatmap/packed_grid.h"
 #include "query/circle_set_registry.h"
 
 namespace rnnhm {
@@ -139,6 +140,21 @@ struct HeatmapResponse {
   /// Snapshot of the engine's cache counters taken when this response was
   /// served (all zero on cache-disabled engines).
   SweepCacheStats cache;
+};
+
+/// A response whose grid stays packed (heatmap/packed_grid.h): the form
+/// the SweepCache stores and the wire encodes, so a cache hit travels from
+/// the cache to the socket without widening. The grid is immutable and is
+/// shared with the cache entry it came from or went into.
+struct PackedHeatmapResponse {
+  std::shared_ptr<const PackedGrid> grid;
+  CrestStats stats;
+  CrestL2Stats l2_stats;
+  bool from_cache = false;
+  SweepCacheStats cache;
+
+  /// The same response with its grid widened to doubles.
+  HeatmapResponse Unpack() const;
 };
 
 struct HeatmapEngineOptions {
@@ -239,6 +255,10 @@ class HeatmapEngine {
   Status ExecuteTileFragmentChecked(
       const HeatmapRequestV2& request, int tile_rows, int tile_cols,
       int tile_id, std::optional<HeatmapResponse>* response) const;
+  /// As above with the fragment left packed (what the wire server sends).
+  Status ExecuteTileFragmentChecked(
+      const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+      int tile_id, std::optional<PackedHeatmapResponse>* response) const;
 
   /// The serving-stack submit path: like Execute(HeatmapRequestV2) but
   /// every failure comes back as a Status instead of a CHECK or an
@@ -250,6 +270,11 @@ class HeatmapEngine {
   /// serve/wire_server.h).
   Status ExecuteChecked(const HeatmapRequestV2& request,
                         std::optional<HeatmapResponse>* response) const;
+  /// As above with the grid left packed: a cache hit shares the cached
+  /// grid and a miss shares the grid it just packed for the cache, so no
+  /// path widens a grid only to encode it.
+  Status ExecuteChecked(const HeatmapRequestV2& request,
+                        std::optional<PackedHeatmapResponse>* response) const;
 
   /// The serving-stack delta path (wire v4): derives a new registered set
   /// from `base` + `edits` via registry().ApplyDelta (the caller owns the
@@ -272,6 +297,16 @@ class HeatmapEngine {
                              const Rect& domain, int width, int height,
                              CircleSetHandle* derived,
                              std::optional<HeatmapResponse>* response,
+                             bool* spliced = nullptr,
+                             IncrementalRasterStats* splice_stats =
+                                 nullptr) const;
+  /// As above with the grid left packed.
+  Status ExecuteDeltaChecked(const CircleSetHandle& base,
+                             std::span<const CircleSetEdit> edits,
+                             std::optional<uint64_t> expected_hash,
+                             const Rect& domain, int width, int height,
+                             CircleSetHandle* derived,
+                             std::optional<PackedHeatmapResponse>* response,
                              bool* spliced = nullptr,
                              IncrementalRasterStats* splice_stats =
                                  nullptr) const;
@@ -303,18 +338,41 @@ class HeatmapEngine {
   std::future<HeatmapResponse> Enqueue(ResolvedRequest request)
       RNNHM_EXCLUDES(mu_);
   ResolvedRequest Resolve(const HeatmapRequestV2& request) const;
+  // One served map in the forms its path produced (defined in the .cc).
+  struct Served;
   // The shared serve path: cache probe keyed by the snapshot's content
   // hash, sweep on a miss, admit sharing the snapshot.
-  HeatmapResponse Serve(const ResolvedRequest& request) const;
+  Served Serve(const ResolvedRequest& request) const;
   // The uncached sweep (cache miss path).
-  HeatmapResponse Sweep(const std::vector<NnCircle>& circles, Metric metric,
-                        const Rect& domain, int width, int height) const;
+  Served Sweep(const std::vector<NnCircle>& circles, Metric metric,
+               const Rect& domain, int width, int height) const;
   // One tile's fragment: cache probe under the per-tile key (subset hash +
   // pixel window), fragment sweep on a miss, admit. Requires a non-empty
   // window; an empty circle subset yields an uncached background fragment.
-  HeatmapResponse ServeTileFragment(const TilePlan& plan, const Tile& t,
-                                    Metric metric, const Rect& domain,
-                                    int width, int height) const;
+  Served ServeTileFragment(const TilePlan& plan, const Tile& t, Metric metric,
+                           const Rect& domain, int width, int height) const;
+  // Packs a freshly painted map once and admits it under `key`; the cache
+  // entry and `*served` share the packed grid.
+  void Admit(const SweepCacheKey& key,
+             std::shared_ptr<const CircleSetSnapshot> set,
+             Served* served) const;
+  // The checked serving paths behind both overloads of each public
+  // Execute*Checked; `*response` receives the form `Response` names.
+  template <typename Response>
+  Status ServeChecked(const HeatmapRequestV2& request,
+                      std::optional<Response>* response) const;
+  template <typename Response>
+  Status ServeTileFragmentChecked(const HeatmapRequestV2& request,
+                                  int tile_rows, int tile_cols, int tile_id,
+                                  std::optional<Response>* response) const;
+  template <typename Response>
+  Status ServeDeltaChecked(const CircleSetHandle& base,
+                           std::span<const CircleSetEdit> edits,
+                           std::optional<uint64_t> expected_hash,
+                           const Rect& domain, int width, int height,
+                           CircleSetHandle* derived,
+                           std::optional<Response>* response, bool* spliced,
+                           IncrementalRasterStats* splice_stats) const;
 
   const InfluenceMeasure& measure_;
   const HeatmapEngineOptions options_;

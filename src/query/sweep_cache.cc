@@ -1,10 +1,9 @@
 #include "query/sweep_cache.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/mutex.h"
 
@@ -31,61 +30,18 @@ void HashDouble(uint64_t* h, double v) {
   HashBytes(h, &bits, sizeof(bits));
 }
 
-// Resident footprint of one entry: the memoized grid at its serialized
-// size plus the key's circle payload (what dominates in practice).
-// Deliberately conservative for v2 entries: several entries sharing one
-// snapshot each charge the full circle payload, so the budget over- (never
-// under-) estimates residency and hit/miss behavior matches the legacy
-// per-request accounting exactly.
-size_t EntryBytes(size_t num_circles, const HeatmapResponse& response) {
-  return SerializedSizeBytes(response.grid) + num_circles * sizeof(NnCircle) +
-         sizeof(HeatmapRequest);
+// Resident footprint charged for one entry: the grid at its unpacked size,
+// whatever it packs to, plus the key's circle payload (what dominates in
+// practice). Deliberately conservative for v2 entries: several entries
+// sharing one snapshot each charge the full circle payload, so the budget
+// over- (never under-) estimates residency and hit/miss behavior matches
+// the legacy per-request accounting exactly.
+size_t ChargedBytes(size_t num_circles, const PackedGrid& grid) {
+  return UnpackedSizeBytes(grid.width(), grid.height()) +
+         num_circles * sizeof(NnCircle) + sizeof(HeatmapRequest);
 }
 
 }  // namespace
-
-// A memoized response with its grid packed (see the header): `counts`
-// holds every pixel when the grid is integer-valued, `values` otherwise.
-struct SweepCache::PackedResponse {
-  CrestStats stats;
-  CrestL2Stats l2_stats;
-  int width = 0;
-  int height = 0;
-  Rect domain;
-  std::vector<uint16_t> counts;
-  std::vector<double> values;
-
-  explicit PackedResponse(const HeatmapResponse& response)
-      : stats(response.stats),
-        l2_stats(response.l2_stats),
-        width(response.grid.width()),
-        height(response.grid.height()),
-        domain(response.grid.domain()) {
-    const std::vector<double>& grid = response.grid.values();
-    counts.resize(grid.size());
-    for (size_t k = 0; k < grid.size(); ++k) {
-      const double v = grid[k];
-      // Exact round trips only: NaN, -0.0 and fractions keep the doubles.
-      if (!(v >= 0.0 && v <= 65535.0) || std::signbit(v) ||
-          static_cast<double>(static_cast<uint16_t>(v)) != v) {
-        counts.clear();
-        counts.shrink_to_fit();
-        values = grid;
-        return;
-      }
-      counts[k] = static_cast<uint16_t>(v);
-    }
-  }
-
-  HeatmapResponse Unpack() const {
-    std::vector<double> grid = counts.empty()
-                                   ? values
-                                   : std::vector<double>(counts.begin(),
-                                                         counts.end());
-    return HeatmapResponse{HeatmapGrid(width, height, domain, std::move(grid)),
-                           stats, l2_stats, false, {}};
-  }
-};
 
 SweepCache::SweepCache(SweepCacheOptions options) : options_(options) {}
 
@@ -115,34 +71,27 @@ uint64_t SweepCache::Fingerprint(const HeatmapRequest& request) {
 }
 
 template <typename SameSet>
-std::optional<HeatmapResponse> SweepCache::LookupImpl(
+std::optional<PackedHeatmapResponse> SweepCache::LookupImpl(
     const SweepCacheKey& key, const SameSet& same_set) {
   const uint64_t fingerprint = Fingerprint(key);
-  std::shared_ptr<const PackedResponse> found;
-  SweepCacheStats snapshot;
-  {
-    MutexLock lock(&mu_);
-    const auto it = index_.find(fingerprint);
-    if (it == index_.end() || !(it->second->key == key) ||
-        !same_set(*it->second->set)) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
-    ++stats_.hits;
-    found = it->second->response;
-    snapshot = stats_;
+  MutexLock lock(&mu_);
+  const auto it = index_.find(fingerprint);
+  if (it == index_.end() || !(it->second->key == key) ||
+      !same_set(*it->second->set)) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-  // Materialize the caller's copy outside the critical section: the entry
-  // is immutable, so concurrent hits copy the grid in parallel (eviction
-  // in another thread only drops the shared reference, never the bytes).
-  HeatmapResponse out = found->Unpack();
+  lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
+  ++stats_.hits;
+  // The grid is immutable and shared: eviction in another thread only
+  // drops the entry's reference, never the pixels a hit is encoding.
+  PackedHeatmapResponse out = it->second->response;
   out.from_cache = true;
-  out.cache = snapshot;
+  out.cache = stats_;
   return out;
 }
 
-std::optional<HeatmapResponse> SweepCache::Lookup(
+std::optional<PackedHeatmapResponse> SweepCache::Lookup(
     const SweepCacheKey& key,
     const std::shared_ptr<const CircleSetSnapshot>& set) {
   return LookupImpl(key, [&](const CircleSetSnapshot& entry_set) {
@@ -151,7 +100,7 @@ std::optional<HeatmapResponse> SweepCache::Lookup(
   });
 }
 
-std::optional<HeatmapResponse> SweepCache::Lookup(
+std::optional<PackedHeatmapResponse> SweepCache::Lookup(
     const SweepCacheKey& key, std::span<const NnCircle> circles,
     Metric metric) {
   return LookupImpl(key, [&](const CircleSetSnapshot& entry_set) {
@@ -161,18 +110,22 @@ std::optional<HeatmapResponse> SweepCache::Lookup(
 
 std::optional<HeatmapResponse> SweepCache::Lookup(
     const HeatmapRequest& request) {
-  return Lookup(KeyOf(request), request.circles, request.metric);
+  std::optional<PackedHeatmapResponse> hit =
+      Lookup(KeyOf(request), request.circles, request.metric);
+  if (!hit.has_value()) return std::nullopt;
+  return hit->Unpack();
 }
 
 void SweepCache::Insert(const SweepCacheKey& key,
                         std::shared_ptr<const CircleSetSnapshot> set,
-                        const HeatmapResponse& response) {
+                        const PackedHeatmapResponse& response) {
   const uint64_t fingerprint = Fingerprint(key);
-  const size_t bytes = EntryBytes(set->circles().size(), response);
+  const size_t bytes = ChargedBytes(set->circles().size(), *response.grid);
   if (bytes > options_.max_bytes) return;  // would evict everything for one
-  // Pack the response before taking the lock (it is the expensive part);
-  // stored copies are pristine: no hit flag, no stale stats snapshot.
-  auto stored = std::make_shared<const PackedResponse>(response);
+  // Stored copies are pristine: no hit flag, no stale stats snapshot.
+  PackedHeatmapResponse stored = response;
+  stored.from_cache = false;
+  stored.cache = {};
   MutexLock lock(&mu_);
   const auto it = index_.find(fingerprint);
   if (it != index_.end()) {  // replace (also heals a fingerprint collision)
@@ -195,8 +148,13 @@ void SweepCache::Insert(HeatmapRequest request,
   const Metric metric = request.metric;
   const SweepCacheKey key{HashCircleSet(request.circles, metric),
                           request.domain, request.width, request.height};
+  const HeatmapGrid& grid = response.grid;
+  PackedHeatmapResponse packed;
+  packed.grid = std::make_shared<const PackedGrid>(PackedGrid::Pack(grid));
+  packed.stats = response.stats;
+  packed.l2_stats = response.l2_stats;
   Insert(key, CircleSetSnapshot::Make(std::move(request.circles), metric),
-         response);
+         packed);
 }
 
 void SweepCache::EvictToFitLocked() {

@@ -18,13 +18,16 @@
 // entry's snapshot (pointer equality short-circuits for snapshots shared
 // through a CircleSetRegistry), so a fingerprint collision degrades to a
 // miss instead of returning the wrong map.
-// Eviction is LRU under two ceilings: resident bytes (grids are sized via
-// SerializedSizeBytes, keys by their circle payload) and entry count.
-// Entries hold integer-valued grids (sizes, capacities, edge counts: the
-// common measures) as 16-bit counts, a quarter of the doubles, expanded
-// exactly on a hit; other grids keep their doubles. The byte budget still
-// charges the unpacked size, so admission and eviction do not depend on
-// the packing.
+// Eviction is LRU under two ceilings: resident bytes and entry count.
+// Entries store their response in packed form (PackedHeatmapResponse,
+// heatmap/packed_grid.h): integer-valued grids (sizes, capacities, edge
+// counts: the common measures) as 16-bit counts, a quarter of the
+// doubles, and other grids as their doubles. An entry holds its grid
+// once, as an immutable grid shared with the response that admitted it
+// and with every hit, so a hit copies no pixels and the wire encodes the
+// counts as they are. The byte budget charges each grid at its unpacked
+// size (UnpackedSizeBytes) plus the key's circle payload, so admission
+// and eviction do not depend on the packing.
 // All methods are thread-safe; workers of one engine share one instance.
 #ifndef RNNHM_QUERY_SWEEP_CACHE_H_
 #define RNNHM_QUERY_SWEEP_CACHE_H_
@@ -90,9 +93,9 @@ class SweepCache {
   /// used), or nullopt. `set` is the lookup's circle set, used only to
   /// verify a candidate entry's content on a hash collision — snapshots
   /// shared through a registry short-circuit on pointer equality. The
-  /// returned copy has `from_cache` set and carries a fresh stats
-  /// snapshot.
-  std::optional<HeatmapResponse> Lookup(
+  /// result shares the entry's packed grid, has `from_cache` set and
+  /// carries a fresh stats snapshot.
+  std::optional<PackedHeatmapResponse> Lookup(
       const SweepCacheKey& key,
       const std::shared_ptr<const CircleSetSnapshot>& set)
       RNNHM_EXCLUDES(mu_);
@@ -100,26 +103,28 @@ class SweepCache {
   /// As above for callers without a snapshot (the legacy inline path):
   /// collision verification compares against `circles`/`metric` directly,
   /// with no copy and no re-hash.
-  std::optional<HeatmapResponse> Lookup(const SweepCacheKey& key,
-                                        std::span<const NnCircle> circles,
-                                        Metric metric) RNNHM_EXCLUDES(mu_);
+  std::optional<PackedHeatmapResponse> Lookup(
+      const SweepCacheKey& key, std::span<const NnCircle> circles,
+      Metric metric) RNNHM_EXCLUDES(mu_);
 
-  /// Legacy convenience: hashes the request's circles and looks up. Cost
-  /// scales with the circle count; prefer the key overloads.
+  /// Legacy convenience: hashes the request's circles, looks up, and
+  /// widens the hit's grid. Cost scales with the circle count and the
+  /// pixel count; prefer the key overloads.
   std::optional<HeatmapResponse> Lookup(const HeatmapRequest& request)
       RNNHM_EXCLUDES(mu_);
 
   /// Admits `response` for `key`, evicting LRU entries to fit. `set` must
   /// be the snapshot the response was computed from (its hash must equal
-  /// `key.set_hash`); the entry shares it, copy-free. A response too
-  /// large for the byte budget is silently not admitted; a re-insert
-  /// under an existing key replaces the entry.
+  /// `key.set_hash`); the entry shares it and the response's packed grid,
+  /// copy-free. A response too large for the byte budget is silently not
+  /// admitted; a re-insert under an existing key replaces the entry.
   void Insert(const SweepCacheKey& key,
               std::shared_ptr<const CircleSetSnapshot> set,
-              const HeatmapResponse& response) RNNHM_EXCLUDES(mu_);
+              const PackedHeatmapResponse& response) RNNHM_EXCLUDES(mu_);
 
   /// Legacy convenience: snapshots the request's circles (moving them out
-  /// of the by-value request) and admits under its content key.
+  /// of the by-value request), packs the grid and admits under the
+  /// request's content key.
   void Insert(HeatmapRequest request, const HeatmapResponse& response)
       RNNHM_EXCLUDES(mu_);
 
@@ -142,25 +147,22 @@ class SweepCache {
   static uint64_t Fingerprint(const HeatmapRequest& request);
 
  private:
-  struct PackedResponse;
-
   struct Entry {
     uint64_t fingerprint;
     SweepCacheKey key;
     // The circle set the response was computed from; kept to verify
     // content equality on hit.
     std::shared_ptr<const CircleSetSnapshot> set;
-    // Immutable once admitted; hits grab the pointer under the lock and
-    // materialize the caller's copy outside it, so concurrent hits never
-    // serialize on expanding the grid.
-    std::shared_ptr<const PackedResponse> response;
+    // Pristine (no hit flag, no stats snapshot); hits copy the counters
+    // and share the immutable grid, so a hit never copies pixels.
+    PackedHeatmapResponse response;
     size_t bytes;
   };
 
   // Shared hit path: `same_set` decides whether a candidate entry's
   // snapshot matches the lookup's circle content.
   template <typename SameSet>
-  std::optional<HeatmapResponse> LookupImpl(const SweepCacheKey& key,
+  std::optional<PackedHeatmapResponse> LookupImpl(const SweepCacheKey& key,
                                             const SameSet& same_set)
       RNNHM_EXCLUDES(mu_);
 

@@ -699,31 +699,54 @@ void EncodeResponseHeader(std::vector<uint8_t>* out, WireStatus status,
   out->insert(out->end(), message.begin(), message.end());
 }
 
+// The success prefix every response shares: header plus the 17 stats
+// words, with room reserved for a grid of `grid_bytes`.
+std::vector<uint8_t> EncodeResponsePrefix(const CrestStats& stats,
+                                          const CrestL2Stats& l2_stats,
+                                          bool from_cache,
+                                          const SweepCacheStats& cache,
+                                          size_t grid_bytes) {
+  std::vector<uint8_t> out;
+  out.reserve(kResponseHeaderBytes +
+              wl::kResponseStatsWords * sizeof(uint64_t) + grid_bytes);
+  EncodeResponseHeader(&out, WireStatus::kOk, from_cache, "");
+  PutU64(&out, stats.num_circles);
+  PutU64(&out, stats.num_skipped_circles);
+  PutU64(&out, stats.num_events);
+  PutU64(&out, stats.num_labelings);
+  PutU64(&out, stats.num_merged_intervals);
+  PutU64(&out, stats.num_elements_walked);
+  PutU64(&out, l2_stats.num_circles);
+  PutU64(&out, l2_stats.num_skipped_circles);
+  PutU64(&out, l2_stats.num_events);
+  PutU64(&out, l2_stats.num_cross_events);
+  PutU64(&out, l2_stats.num_labelings);
+  PutU64(&out, cache.hits);
+  PutU64(&out, cache.misses);
+  PutU64(&out, cache.insertions);
+  PutU64(&out, cache.evictions);
+  PutU64(&out, cache.entries);
+  PutU64(&out, cache.bytes);
+  return out;
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response) {
-  std::vector<uint8_t> out;
-  out.reserve(kResponseHeaderBytes + 17 * sizeof(uint64_t) +
-              SerializedSizeBytes(response.grid));
-  EncodeResponseHeader(&out, WireStatus::kOk, response.from_cache, "");
-  PutU64(&out, response.stats.num_circles);
-  PutU64(&out, response.stats.num_skipped_circles);
-  PutU64(&out, response.stats.num_events);
-  PutU64(&out, response.stats.num_labelings);
-  PutU64(&out, response.stats.num_merged_intervals);
-  PutU64(&out, response.stats.num_elements_walked);
-  PutU64(&out, response.l2_stats.num_circles);
-  PutU64(&out, response.l2_stats.num_skipped_circles);
-  PutU64(&out, response.l2_stats.num_events);
-  PutU64(&out, response.l2_stats.num_cross_events);
-  PutU64(&out, response.l2_stats.num_labelings);
-  PutU64(&out, response.cache.hits);
-  PutU64(&out, response.cache.misses);
-  PutU64(&out, response.cache.insertions);
-  PutU64(&out, response.cache.evictions);
-  PutU64(&out, response.cache.entries);
-  PutU64(&out, response.cache.bytes);
+  // The encoding is only known once the fused scan has run: EncodeHeatmap
+  // sizes the buffer for it, so nothing is reserved for the grid here.
+  std::vector<uint8_t> out =
+      EncodeResponsePrefix(response.stats, response.l2_stats,
+                           response.from_cache, response.cache, 0);
   EncodeHeatmap(response.grid, &out);
+  return out;
+}
+
+std::vector<uint8_t> EncodeResponse(const PackedHeatmapResponse& response) {
+  std::vector<uint8_t> out = EncodeResponsePrefix(
+      response.stats, response.l2_stats, response.from_cache, response.cache,
+      SerializedSizeBytes(*response.grid));
+  EncodeHeatmap(*response.grid, &out);
   return out;
 }
 

@@ -18,7 +18,8 @@
 //
 // Responses carry the full HeatmapResponse: status, raster counters, cache
 // counters and the grid (the grid payload reuses heatmap/serialization's
-// "RNHM" byte format).
+// "RNHM" byte format, version 2: u16 counts for count grids, f64
+// otherwise; decoders widen counts exactly).
 //
 // Raster counters: the response keeps the 17 stats words of the v6 layout
 // — six CrestStats words, five CrestL2Stats words, six cache words — but
@@ -67,8 +68,12 @@ namespace rnnhm {
 /// the tile fragment op (a request for one tile of the domain-tiled
 /// decomposition, answered with a window-sized fragment grid — the
 /// by-tile sharding seam) and appends the tile counters to the stats
-/// reply; plain request/response layouts are unchanged from v5.
-inline constexpr uint32_t kWireVersion = 6;
+/// reply; plain request/response layouts are unchanged from v5. v7 carries
+/// the response grid as RNHM version 2 (heatmap/serialization.h): 16-bit
+/// counts when every pixel is an exact count, f64 otherwise — a pure
+/// function of the grid, so a cache hit, a fresh map and a stitched map
+/// encode the same bytes. Frame header sizes are unchanged from v6.
+inline constexpr uint32_t kWireVersion = 7;
 
 /// Ceiling on a frame's payload length (guards a garbage length prefix
 /// from triggering a giant allocation).
@@ -140,8 +145,14 @@ struct WireResponse {
   std::optional<HeatmapResponse> response;
 };
 
-/// Serializes a success response (status kOk + counters + grid).
+/// Serializes a success response (status kOk + counters + grid). Packs
+/// the grid in one fused scan while writing it.
 std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response);
+
+/// As above from a packed grid (what the engine's cache holds): writes
+/// the stored counts or doubles as they are, so a cache hit is encoded
+/// without widening. Same bytes as encoding response.Unpack().
+std::vector<uint8_t> EncodeResponse(const PackedHeatmapResponse& response);
 
 /// Serializes an error response (no grid).
 std::vector<uint8_t> EncodeErrorResponse(WireStatus status,

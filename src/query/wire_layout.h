@@ -1,6 +1,6 @@
 // The wire protocol's layout, as data.
 //
-// Every frame the v2–v6 codecs exchange is a hand-packed little-endian
+// Every frame the v2–v7 codecs exchange is a hand-packed little-endian
 // byte layout whose encoder, decoder, and routing peeks (PeekRouteInfo
 // reads `set_hash` at a fixed offset without decoding) must agree on the
 // same offsets. This header is the single declarative source of truth:
@@ -181,6 +181,7 @@ inline constexpr WireVersionInfo kWireVersionHistory[] = {
     {4, 68, 16, 12, 68, 76, 0},   // + delta frames, stats grows to 7
     {5, 68, 16, 12, 76, 76, 0},   // + eviction/dirty-column counters (8)
     {6, 68, 16, 12, 92, 76, 80},  // + tile fan-out, routing counters (10)
+    {7, 68, 16, 12, 92, 76, 80},  // grid payload RNHM v2 (u16 counts)
 };
 
 // --- Compile-time checkers ------------------------------------------------

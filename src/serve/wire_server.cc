@@ -77,7 +77,7 @@ std::vector<uint8_t> WireServer::HandleFrame(std::span<const uint8_t> frame,
             wire_status, "delta metric disagrees with the registered base");
       } else {
         CircleSetHandle derived;
-        std::optional<HeatmapResponse> response;
+        std::optional<PackedHeatmapResponse> response;
         bool spliced = false;
         IncrementalRasterStats splice_stats;
         const Status status = engine_.ExecuteDeltaChecked(
@@ -143,7 +143,7 @@ std::vector<uint8_t> WireServer::HandleFrame(std::span<const uint8_t> frame,
         reply = EncodeErrorResponse(
             wire_status, "request metric disagrees with the registered set");
       } else {
-        std::optional<HeatmapResponse> response;
+        std::optional<PackedHeatmapResponse> response;
         const Status status = engine_.ExecuteTileFragmentChecked(
             HeatmapRequestV2{handle, request->domain, request->width,
                              request->height},
@@ -203,7 +203,7 @@ std::vector<uint8_t> WireServer::HandleFrame(std::span<const uint8_t> frame,
         reply = EncodeErrorResponse(
             wire_status, "request metric disagrees with the registered set");
       } else {
-        std::optional<HeatmapResponse> response;
+        std::optional<PackedHeatmapResponse> response;
         const Status status = engine_.ExecuteChecked(
             HeatmapRequestV2{handle, request->domain, request->width,
                              request->height},

@@ -43,6 +43,8 @@ class WireServer {
   /// decomposition through ExecuteTileFragmentChecked; stats requests
   /// return this server's counters; anything malformed returns an
   /// error-status response. Total: every input produces one response.
+  /// The three heat-map ops take the engine's packed response, so a
+  /// cache hit is encoded from the cached counts without widening.
   ///
   /// `scope`, when non-null, takes ownership of the registration bumps
   /// this frame performs (inline registers and delta derivations), so a

@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "heatmap/heatmap.h"
@@ -123,6 +125,70 @@ TEST(SerializationTest, RejectsNonPositiveDimensionsAndBadDomain) {
   std::fclose(f);
   EXPECT_FALSE(LoadHeatmap(path).has_value());
   std::remove(path.c_str());
+}
+
+// Files written before the count encoding existed are RNHM version 1: a
+// 48-byte header and row-major doubles. They must still load.
+TEST(SerializationTest, LoadsVersionOneFiles) {
+  const Rect domain{{-1.5, 2.0}, {3.5, 4.25}};
+  const std::vector<double> values = {0.0, 2.0, -0.0, 0.5, 65536.0, 7.0};
+  std::vector<uint8_t> bytes = {'R', 'N', 'H', 'M'};
+  const auto put = [&bytes](const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    bytes.insert(bytes.end(), b, b + n);
+  };
+  const uint32_t version = 1;
+  const int32_t width = 3, height = 2;
+  put(&version, 4);
+  put(&width, 4);
+  put(&height, 4);
+  for (const double d : {domain.lo.x, domain.lo.y, domain.hi.x, domain.hi.y}) {
+    put(&d, 8);
+  }
+  put(values.data(), values.size() * sizeof(double));
+  ASSERT_EQ(bytes.size(), 48 + 8 * values.size());
+
+  const std::string path = "/tmp/rnnhm_v1.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  const auto loaded = LoadHeatmap(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->width(), width);
+  EXPECT_EQ(loaded->height(), height);
+  EXPECT_EQ(loaded->domain(), domain);
+  ASSERT_EQ(loaded->values().size(), values.size());
+  EXPECT_EQ(std::memcmp(loaded->values().data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+
+  size_t consumed = 0;
+  ASSERT_TRUE(DecodeHeatmap(bytes.data(), bytes.size(), &consumed).has_value());
+  EXPECT_EQ(consumed, bytes.size());
+}
+
+// Count grids save as version 2 with 16-bit counts: a quarter of the
+// payload, loaded back as the same doubles.
+TEST(SerializationTest, CountGridsSaveAsCounts) {
+  HeatmapGrid grid(5, 4, Rect{{0, 0}, {1, 1}});
+  for (int j = 0; j < 4; ++j) {
+    for (int i = 0; i < 5; ++i) grid.At(i, j) = i * 1000 + j;
+  }
+  const std::string path = "/tmp/rnnhm_counts.bin";
+  ASSERT_TRUE(SaveHeatmap(grid, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  const long on_disk = std::ftell(f);
+  std::fclose(f);
+  EXPECT_EQ(static_cast<size_t>(on_disk), 56u + 2u * 20u);
+  EXPECT_EQ(static_cast<size_t>(on_disk), SerializedSizeBytes(grid));
+  const auto loaded = LoadHeatmap(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->values(), grid.values());
 }
 
 TEST(SerializationTest, MissingFileFails) {

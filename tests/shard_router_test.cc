@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
 #include "query/wire.h"
+#include "query/wire_layout.h"
 #include "serve/options.h"
 #include "serve/shard_router.h"
 #include "serve/transport.h"
@@ -354,6 +356,54 @@ TEST(ShardRouterTest, ByTileRoutingIsBitIdenticalToDirectExecute) {
       ASSERT_EQ(routed.height(), size);
       EXPECT_EQ(routed.values(), direct.grid.values());
     }
+  }
+  ::close(fd);
+  EXPECT_TRUE(harness.Stop().ok());
+}
+
+TEST(ShardRouterTest, ByTileStitchEncodesTheSameGridBytesAsOneEngine) {
+  // The grid encoding is a pure function of the pixels: the router's
+  // stitched map (fragments packed by the shards, widened, stitched and
+  // packed again) carries byte-for-byte the grid blob a single engine
+  // sends for the same map, counts included.
+  RouterHarness harness;
+  ASSERT_TRUE(
+      harness.Start(/*num_shards=*/2, /*worker_slabs=*/1, 2, 2).ok());
+  int fd = -1;
+  ASSERT_TRUE(harness.Connect(&fd).ok());
+
+  SizeInfluence measure;
+  HeatmapEngineOptions reference_options;
+  reference_options.num_threads = 1;
+  reference_options.cache_bytes = 8 << 20;
+  HeatmapEngine reference(measure, reference_options);
+  const size_t grid_at = wire_layout::kResponseHeaderBytes +
+                         wire_layout::kResponseStatsWords * sizeof(uint64_t);
+
+  const Metric metrics[] = {Metric::kLInf, Metric::kL1, Metric::kL2};
+  for (size_t m = 0; m < std::size(metrics); ++m) {
+    SCOPED_TRACE("metric " + std::to_string(m));
+    const auto set =
+        CircleSetSnapshot::Make(MakeCircles(700 + m, 40), metrics[m]);
+    std::vector<uint8_t> routed;
+    ASSERT_TRUE(RoundTrip(fd,
+                          EncodeRequest(MakeWireRequest(*set, kDomain, 31, 31,
+                                                        /*include_circles=*/
+                                                        true)),
+                          &routed)
+                    .ok());
+    const CircleSetHandle handle =
+        reference.registry().Register(set->circles(), set->metric());
+    std::optional<PackedHeatmapResponse> direct;
+    ASSERT_TRUE(reference
+                    .ExecuteChecked(HeatmapRequestV2{handle, kDomain, 31, 31},
+                                    &direct)
+                    .ok());
+    ASSERT_TRUE(direct->grid->is_counts());
+    const std::vector<uint8_t> want = EncodeResponse(*direct);
+    ASSERT_GT(routed.size(), grid_at);
+    EXPECT_EQ(std::vector<uint8_t>(routed.begin() + grid_at, routed.end()),
+              std::vector<uint8_t>(want.begin() + grid_at, want.end()));
   }
   ::close(fd);
   EXPECT_TRUE(harness.Stop().ok());

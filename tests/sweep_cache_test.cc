@@ -136,7 +136,8 @@ TEST(SweepCacheTest, LruEvictsOldestFirstUnderEntryBudget) {
 TEST(SweepCacheTest, ByteBudgetBoundsResidency) {
   const HeatmapRequest a = MakeRequest(20);
   const HeatmapResponse response = MakeResponse(a);
-  const size_t grid_bytes = SerializedSizeBytes(response.grid);
+  const size_t grid_bytes =
+      UnpackedSizeBytes(response.grid.width(), response.grid.height());
   SweepCacheOptions options;
   options.max_bytes = 2 * grid_bytes + 2 * sizeof(HeatmapRequest) +
                       2 * a.circles.size() * sizeof(NnCircle);
@@ -148,6 +149,37 @@ TEST(SweepCacheTest, ByteBudgetBoundsResidency) {
   EXPECT_LE(cache.stats().bytes, options.max_bytes);
   EXPECT_LE(cache.stats().entries, 2u);
   EXPECT_GE(cache.stats().evictions, 3u);
+}
+
+// The budget charges a grid at its unpacked size whatever it packs to: a
+// count grid (a quarter of the doubles on the wire) and a grid of
+// fractions of the same shape cost the same, so admission and eviction do
+// not move with the encoding.
+TEST(SweepCacheTest, ChargesTheUnpackedSizeWhateverTheEncoding) {
+  const HeatmapRequest a = MakeRequest(21);
+  HeatmapResponse counts = MakeResponse(a);
+  HeatmapResponse fractions = counts;
+  for (int j = 0; j < a.height; ++j) {
+    for (int i = 0; i < a.width; ++i) fractions.grid.At(i, j) += 0.5;
+  }
+  ASSERT_LT(SerializedSizeBytes(counts.grid),
+            SerializedSizeBytes(fractions.grid));
+  const size_t charge = 48 + 8 * 24 * 24 + a.circles.size() * sizeof(NnCircle) +
+                        sizeof(HeatmapRequest);
+  EXPECT_EQ(UnpackedSizeBytes(24, 24), 48u + 8u * 24 * 24);
+  for (const HeatmapResponse* response : {&counts, &fractions}) {
+    SweepCache cache(SweepCacheOptions{});
+    cache.Insert(a, *response);
+    EXPECT_EQ(cache.stats().bytes, charge);
+  }
+  // A budget one byte short of the charge admits neither form.
+  SweepCacheOptions tight;
+  tight.max_bytes = charge - 1;
+  for (const HeatmapResponse* response : {&counts, &fractions}) {
+    SweepCache cache(tight);
+    cache.Insert(a, *response);
+    EXPECT_EQ(cache.stats().entries, 0u);
+  }
 }
 
 TEST(SweepCacheTest, OversizedEntryIsNotAdmitted) {

@@ -86,7 +86,7 @@ TEST(WireLayoutTest, PublishedSizesPerVersion) {
   constexpr Row kExpected[] = {
       {2, 68, 16, 0, 0, 0, 0},    {3, 68, 16, 12, 44, 0, 0},
       {4, 68, 16, 12, 68, 76, 0}, {5, 68, 16, 12, 76, 76, 0},
-      {6, 68, 16, 12, 92, 76, 80},
+      {6, 68, 16, 12, 92, 76, 80}, {7, 68, 16, 12, 92, 76, 80},
   };
   ASSERT_EQ(std::size(wl::kWireVersionHistory), std::size(kExpected));
   for (size_t i = 0; i < std::size(kExpected); ++i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -14,6 +15,7 @@
 #include "heatmap/influence.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
+#include "query/wire_layout.h"
 #include "serve/wire_server.h"
 #include "tile/tile_plan.h"
 
@@ -221,6 +223,93 @@ TEST(WireResponseTest, EveryTruncationDecodesToAnErrorNotACrash) {
         << "prefix of " << len << " bytes decoded";
     EXPECT_FALSE(error.empty());
   }
+}
+
+// The grid payload of a v7 response is RNHM version 2. A Size map packs
+// as 16-bit counts; every way of corrupting that payload must come back as
+// a decode error, never a CHECK.
+class WireCountPayloadTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kGridAt =
+      wire_layout::kResponseHeaderBytes +
+      wire_layout::kResponseStatsWords * sizeof(uint64_t);
+  // RNHM v2 header: magic, version, width, height, 4 domain doubles, then
+  // the encoding and reserved words.
+  static constexpr size_t kWidthAt = kGridAt + 8;
+  static constexpr size_t kHeightAt = kGridAt + 12;
+  static constexpr size_t kEncodingAt = kGridAt + 48;
+  static constexpr size_t kReservedAt = kGridAt + 52;
+  static constexpr size_t kPayloadAt = kGridAt + 56;
+
+  void SetUp() override {
+    const HeatmapResponse response = ComputeResponse(9, 25, Metric::kLInf, 12);
+    want_ = response.grid.values();
+    bytes_ = EncodeResponse(response);
+  }
+
+  static void Poke32(std::vector<uint8_t>* bytes, size_t at, uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      (*bytes)[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
+  void ExpectRejected(const std::vector<uint8_t>& bytes,
+                      const std::string& reason) const {
+    std::string error;
+    EXPECT_FALSE(DecodeResponse(bytes, &error).has_value()) << reason;
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+  }
+
+  std::vector<double> want_;
+  std::vector<uint8_t> bytes_;
+};
+
+TEST_F(WireCountPayloadTest, SizeMapsTravelAsCountsAndDecodeBitExactly) {
+  ASSERT_EQ(bytes_.size(), kPayloadAt + 2 * 12 * 12);
+  EXPECT_EQ(bytes_[kEncodingAt], 1);
+  std::string error;
+  const auto decoded = DecodeResponse(bytes_, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  const std::vector<double>& got = decoded->response->grid.values();
+  ASSERT_EQ(got.size(), want_.size());
+  EXPECT_EQ(
+      std::memcmp(got.data(), want_.data(), got.size() * sizeof(double)), 0);
+}
+
+TEST_F(WireCountPayloadTest, UnknownEncodingIsAnError) {
+  std::vector<uint8_t> bytes = bytes_;
+  Poke32(&bytes, kEncodingAt, 2);
+  ExpectRejected(bytes, "unknown heatmap encoding");
+}
+
+TEST_F(WireCountPayloadTest, NonzeroReservedWordIsAnError) {
+  std::vector<uint8_t> bytes = bytes_;
+  Poke32(&bytes, kReservedAt, 1);
+  ExpectRejected(bytes, "reserved heatmap header bits set");
+}
+
+TEST_F(WireCountPayloadTest, TruncatedCountPayloadIsAnError) {
+  for (const size_t cut : {size_t{1}, size_t{2}, bytes_.size() - kPayloadAt}) {
+    const std::vector<uint8_t> bytes(bytes_.begin(), bytes_.end() - cut);
+    ExpectRejected(bytes, "truncated heatmap payload");
+  }
+}
+
+TEST_F(WireCountPayloadTest, DimensionsPastTheRemainingBytesAreAnError) {
+  // 2 * width * height overshoots what follows the header, up to the
+  // int32 extremes (whose product would overflow a 32-bit size).
+  for (const uint32_t side : {13u, 1u << 16, 0x7FFFFFFFu}) {
+    std::vector<uint8_t> bytes = bytes_;
+    Poke32(&bytes, kWidthAt, side);
+    Poke32(&bytes, kHeightAt, side);
+    ExpectRejected(bytes, "truncated heatmap payload");
+  }
+}
+
+TEST_F(WireCountPayloadTest, TrailingBytesAfterACountGridAreAnError) {
+  std::vector<uint8_t> bytes = bytes_;
+  bytes.push_back(0);
+  ExpectRejected(bytes, "trailing response bytes");
 }
 
 // --- Framing --------------------------------------------------------------

@@ -373,6 +373,8 @@ def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
             print(f"  {e}")
         return 1
 
+    live = re.search(r"constexpr uint32_t kWireVersion = (\d+);", wire_h_text)
+    live_version = int(live.group(1)) if live else 0
     perturbations = [
         (
             "shift the set_hash offset",
@@ -419,7 +421,8 @@ def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
         (
             "bump kWireVersion without a history row",
             (layout_text,
-             wire_h_text.replace("kWireVersion = 6", "kWireVersion = 7"),
+             wire_h_text.replace(f"kWireVersion = {live_version};",
+                                 f"kWireVersion = {live_version + 1};"),
              cc_text),
         ),
         (
