@@ -1,8 +1,9 @@
 #include "query/wire.h"
 
+#include <bit>
 #include <cstring>
-#include <exception>
-#include <iterator>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "heatmap/serialization.h"
@@ -12,6 +13,8 @@ namespace rnnhm {
 
 namespace {
 
+namespace wl = wire_layout;
+
 constexpr char kRequestMagic[4] = {'R', 'N', 'W', 'Q'};
 constexpr char kResponseMagic[4] = {'R', 'N', 'W', 'S'};
 constexpr char kStatsRequestMagic[4] = {'R', 'N', 'W', 'T'};
@@ -19,191 +22,334 @@ constexpr char kStatsResponseMagic[4] = {'R', 'N', 'W', 'U'};
 constexpr char kDeltaRequestMagic[4] = {'R', 'N', 'W', 'D'};
 constexpr char kTileRequestMagic[4] = {'R', 'N', 'W', 'L'};
 constexpr uint8_t kFlagInlineCircles = 0x1;
-// Sizes and peek offsets come from the declarative layout tables; the
-// static_assert battery below keeps this codec and those tables in
-// lockstep (tools/check_wire_layout.py independently re-checks both
-// against the Put* sequences in this file).
-constexpr size_t kCircleBytes = wire_layout::kCircleBytes;
-constexpr size_t kRequestHeaderBytes = wire_layout::kRequestHeaderBytes;
-constexpr size_t kResponseHeaderBytes = wire_layout::kResponseHeaderBytes;
-// The set_hash field's fixed offset in a request header. A delta request
-// shares this prefix layout with base_hash in the set_hash slot (so the
-// routing peek reads one offset for both) followed by new_hash; a tile
-// request shares the whole plain header (through the circle count) and
-// appends the tile grid + id before the circle payload.
-constexpr size_t kRequestSetHashOffset = wire_layout::kRequestSetHashOffset;
-constexpr size_t kDeltaNewHashOffset = wire_layout::kDeltaNewHashOffset;
-constexpr size_t kDeltaHeaderBytes = wire_layout::kDeltaHeaderBytes;
-constexpr size_t kTileIdOffset = wire_layout::kTileIdOffset;
-constexpr size_t kTileHeaderBytes = wire_layout::kTileHeaderBytes;
-constexpr size_t kStatsRequestBytes = wire_layout::kStatsRequestBytes;
-constexpr size_t kStatsResponseBytes = wire_layout::kStatsResponseBytes;
-
-// --- Wire-layout lint (compile time) --------------------------------------
-// Every layout table must be gap-free from offset 0 and sum to its
-// declared frame size; the offsets this codec hard-wires (routing peeks,
-// shared prefixes) must match the tables field-for-field. A perturbed
-// offset in either place is a build break, not a protocol corruption.
-
-namespace wl = wire_layout;
-
-static_assert(wl::Contiguous(wl::kRequestLayout) &&
-              wl::TotalBytes(wl::kRequestLayout) == kRequestHeaderBytes);
-static_assert(wl::Contiguous(wl::kResponseLayout) &&
-              wl::TotalBytes(wl::kResponseLayout) == kResponseHeaderBytes);
-static_assert(wl::Contiguous(wl::kDeltaLayout) &&
-              wl::TotalBytes(wl::kDeltaLayout) == kDeltaHeaderBytes);
-static_assert(wl::Contiguous(wl::kTileLayout) &&
-              wl::TotalBytes(wl::kTileLayout) == kTileHeaderBytes);
-static_assert(wl::Contiguous(wl::kStatsRequestLayout) &&
-              wl::TotalBytes(wl::kStatsRequestLayout) == kStatsRequestBytes);
-static_assert(wl::Contiguous(wl::kStatsResponseLayout) &&
-              wl::TotalBytes(wl::kStatsResponseLayout) == kStatsResponseBytes);
-static_assert(wl::Contiguous(wl::kCircleLayout) &&
-              wl::TotalBytes(wl::kCircleLayout) == kCircleBytes);
-
-// Routing peeks: PeekRequestSetHash / PeekRouteInfo read these raw
-// offsets without decoding, so they must match the tables exactly.
-static_assert(wl::OffsetOf(wl::kRequestLayout, "set_hash") ==
-              kRequestSetHashOffset);
-static_assert(wl::OffsetOf(wl::kDeltaLayout, "base_hash") ==
-              kRequestSetHashOffset);
-static_assert(wl::OffsetOf(wl::kDeltaLayout, "new_hash") ==
-              kDeltaNewHashOffset);
-static_assert(wl::OffsetOf(wl::kTileLayout, "set_hash") ==
-              kRequestSetHashOffset);
-static_assert(wl::OffsetOf(wl::kTileLayout, "tile_id") == kTileIdOffset);
-
-// Shared-prefix contracts: a delta is a request with base_hash in the
-// set_hash slot; a tile request is a whole request plus the tile grid.
-static_assert(wl::OffsetOf(wl::kRequestLayout, "circle_count") ==
-              wl::OffsetOf(wl::kTileLayout, "circle_count"));
-static_assert(wl::OffsetOf(wl::kRequestLayout, "set_hash") ==
-              wl::OffsetOf(wl::kDeltaLayout, "base_hash"));
-static_assert(wl::OffsetOf(wl::kTileLayout, "tile_rows") ==
-              kRequestHeaderBytes);
+// A delta edit record is a kind byte, then a u32 index (replace,
+// swap-remove) and a circle record (replace, append); it has no table.
+constexpr size_t kEditIndexBytes = sizeof(uint32_t);
 
 // The current protocol version must be the last history row, and its
-// published sizes must be the live ones.
-static_assert(wl::kWireVersionHistory[std::size(wl::kWireVersionHistory) -
-                                      1]
-                      .version == kWireVersion &&
-              wl::kWireVersionHistory[std::size(wl::kWireVersionHistory) -
-                                      1]
-                      .request_header_bytes == kRequestHeaderBytes);
-static_assert(wl::kWireVersionHistory[std::size(wl::kWireVersionHistory) -
-                                      1]
-                  .stats_response_bytes == kStatsResponseBytes);
+// published sizes must be the live tables'.
+constexpr wl::WireVersionInfo kLive =
+    wl::kWireVersionHistory[std::size(wl::kWireVersionHistory) - 1];
+static_assert(kLive.version == kWireVersion &&
+              kLive.request_header_bytes == wl::kRequestHeaderBytes &&
+              kLive.response_header_bytes == wl::kResponseHeaderBytes &&
+              kLive.stats_request_bytes == wl::kStatsRequestBytes &&
+              kLive.stats_response_bytes == wl::kStatsResponseBytes &&
+              kLive.delta_header_bytes == wl::kDeltaHeaderBytes &&
+              kLive.tile_header_bytes == wl::kTileHeaderBytes);
 
-// --- Little-endian primitives (explicit, host-endianness independent) -----
+// --- Table rows by name ---------------------------------------------------
+// Resolved at compile time: a name missing from its table does not build.
 
-void PutMagic(std::vector<uint8_t>* out, const char magic[4]) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(magic[i]));
-  }
+consteval wl::WireField RequestRow(const char* name) {
+  return wl::FieldOf(wl::kRequestLayout, name);
+}
+consteval wl::WireField ResponseRow(const char* name) {
+  return wl::FieldOf(wl::kResponseLayout, name);
+}
+consteval wl::WireField DeltaRow(const char* name) {
+  return wl::FieldOf(wl::kDeltaLayout, name);
+}
+consteval wl::WireField TileRow(const char* name) {
+  return wl::FieldOf(wl::kTileLayout, name);
+}
+consteval wl::WireField StatsRequestRow(const char* name) {
+  return wl::FieldOf(wl::kStatsRequestLayout, name);
+}
+consteval wl::WireField StatsResponseRow(const char* name) {
+  return wl::FieldOf(wl::kStatsResponseLayout, name);
+}
+consteval wl::WireField CircleRow(const char* name) {
+  return wl::FieldOf(wl::kCircleLayout, name);
 }
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// --- Little-endian field access (host-endianness independent) -------------
+
+void StoreLe(uint8_t* at, size_t size, uint64_t v) {
+  for (size_t i = 0; i < size; ++i) at[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+uint64_t LoadLe(const uint8_t* at, size_t size) {
+  uint64_t v = 0;
+  for (size_t i = size; i-- > 0;) v = (v << 8) | at[i];
+  return v;
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+// Header fields are unsigned integers of their row's size (signed ones
+// travel as two's complement), f64 bit patterns, or the 4-byte magic.
+void Put(uint8_t* frame, wl::WireField f, uint64_t v) {
+  StoreLe(frame + f.offset, f.size, v);
+}
+void PutF64(uint8_t* frame, wl::WireField f, double v) {
+  Put(frame, f, std::bit_cast<uint64_t>(v));
+}
+void PutMagic(uint8_t* frame, wl::WireField f, const char magic[4]) {
+  std::memcpy(frame + f.offset, magic, f.size);
+}
+uint64_t Get(const uint8_t* frame, wl::WireField f) {
+  return LoadLe(frame + f.offset, f.size);
+}
+int32_t GetI32(const uint8_t* frame, wl::WireField f) {
+  return static_cast<int32_t>(Get(frame, f));
+}
+double GetF64(const uint8_t* frame, wl::WireField f) {
+  return std::bit_cast<double>(Get(frame, f));
+}
+bool Covers(std::span<const uint8_t> bytes, wl::WireField f) {
+  return bytes.size() >= f.offset + f.size;
+}
+bool HasMagic(std::span<const uint8_t> bytes, wl::WireField f,
+              const char magic[4]) {
+  return Covers(bytes, f) &&
+         std::memcmp(bytes.data() + f.offset, magic, f.size) == 0;
 }
 
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
+// Grows *out by `bytes` zeroed bytes and returns the first of them.
+uint8_t* Grow(std::vector<uint8_t>* out, size_t bytes) {
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  return out->data() + at;
 }
 
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked sequential reader; the first short read latches !ok and
-// every later Get returns zero, so decoders can read a whole header and
-// test ok() once.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
-
-  uint8_t U8() {
-    uint8_t v = 0;
-    Raw(&v, 1);
-    return v;
-  }
-  uint16_t U16() {
-    uint8_t b[2] = {};
-    Raw(b, 2);
-    return static_cast<uint16_t>(b[0] | (b[1] << 8));
-  }
-  uint32_t U32() {
-    uint8_t b[4] = {};
-    Raw(b, 4);
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[i];
-    return v;
-  }
-  uint64_t U64() {
-    uint8_t b[8] = {};
-    Raw(b, 8);
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-    return v;
-  }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  double F64() {
-    const uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool Magic(const char expected[4]) {
-    uint8_t b[4] = {};
-    Raw(b, 4);
-    return ok_ && std::memcmp(b, expected, 4) == 0;
-  }
-  void Raw(void* dst, size_t len) {
-    if (!ok_ || size_ - pos_ < len) {
-      ok_ = false;
-      std::memset(dst, 0, len);
-      return;
-    }
-    std::memcpy(dst, data_ + pos_, len);
-    pos_ += len;
-  }
-  const uint8_t* cursor() const { return data_ + pos_; }
-  void Skip(size_t len) {
-    if (!ok_ || size_ - pos_ < len) {
-      ok_ = false;
-      return;
-    }
-    pos_ += len;
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-std::nullopt_t Fail(std::string* error, const char* message) {
+std::nullopt_t Fail(std::string* error, std::string_view message) {
   if (error != nullptr) *error = message;
   return std::nullopt;
+}
+
+// --- The circle record ----------------------------------------------------
+
+void PutCircle(uint8_t* record, const NnCircle& c) {
+  PutF64(record, CircleRow("center_x"), c.center.x);
+  PutF64(record, CircleRow("center_y"), c.center.y);
+  PutF64(record, CircleRow("radius"), c.radius);
+  Put(record, CircleRow("client"), static_cast<uint32_t>(c.client));
+}
+
+NnCircle GetCircle(const uint8_t* record) {
+  return NnCircle{{GetF64(record, CircleRow("center_x")),
+                   GetF64(record, CircleRow("center_y"))},
+                  GetF64(record, CircleRow("radius")),
+                  GetI32(record, CircleRow("client"))};
+}
+
+// --- The request prefix ---------------------------------------------------
+// Plain, tile and delta frames share the request rows magic..set_hash
+// (wire_layout.h asserts the other two tables repeat them), so one writer
+// and one reader+validator serve all three. The hash slot holds a plain or
+// tile request's set_hash and a delta's base_hash.
+
+struct Prefix {
+  Metric metric = Metric::kLInf;
+  uint8_t flags = 0;
+  int width = 0;
+  int height = 0;
+  Rect domain;
+  uint64_t hash = 0;
+};
+
+void PutPrefix(uint8_t* header, const char magic[4], const Prefix& p) {
+  PutMagic(header, RequestRow("magic"), magic);
+  Put(header, RequestRow("version"), kWireVersion);
+  Put(header, RequestRow("metric"), static_cast<uint8_t>(p.metric));
+  Put(header, RequestRow("flags"), p.flags);
+  Put(header, RequestRow("width"), static_cast<uint32_t>(p.width));
+  Put(header, RequestRow("height"), static_cast<uint32_t>(p.height));
+  PutF64(header, RequestRow("domain_lo_x"), p.domain.lo.x);
+  PutF64(header, RequestRow("domain_lo_y"), p.domain.lo.y);
+  PutF64(header, RequestRow("domain_hi_x"), p.domain.hi.x);
+  PutF64(header, RequestRow("domain_hi_y"), p.domain.hi.y);
+  Put(header, RequestRow("set_hash"), p.hash);
+}
+
+// Checks a `kind` frame's magic, that its `header_bytes`-byte header is
+// all there, and the shared prefix: version, metric, reserved bits (any
+// flag outside `allowed_flags`), a positive raster within kMaxWirePixels,
+// and a finite, non-degenerate domain.
+std::optional<Prefix> GetPrefix(std::span<const uint8_t> bytes,
+                                const char magic[4], std::string_view kind,
+                                size_t header_bytes, uint8_t allowed_flags,
+                                std::string* error) {
+  if (!HasMagic(bytes, RequestRow("magic"), magic)) {
+    return Fail(error, "bad " + std::string(kind) + " magic");
+  }
+  if (bytes.size() < header_bytes) {
+    return Fail(error, std::string(kind) + " header truncated");
+  }
+  const uint8_t* h = bytes.data();
+  if (Get(h, RequestRow("version")) != kWireVersion) {
+    return Fail(error, "unsupported wire version");
+  }
+  const uint64_t metric = Get(h, RequestRow("metric"));
+  if (metric > static_cast<uint8_t>(Metric::kL2)) {
+    return Fail(error, "unknown metric");
+  }
+  Prefix p;
+  p.metric = static_cast<Metric>(metric);
+  p.flags = static_cast<uint8_t>(Get(h, RequestRow("flags")));
+  if ((p.flags & ~allowed_flags) != 0 ||
+      Get(h, RequestRow("reserved")) != 0) {
+    return Fail(error, "reserved " + std::string(kind) + " bits set");
+  }
+  p.width = GetI32(h, RequestRow("width"));
+  p.height = GetI32(h, RequestRow("height"));
+  p.domain.lo.x = GetF64(h, RequestRow("domain_lo_x"));
+  p.domain.lo.y = GetF64(h, RequestRow("domain_lo_y"));
+  p.domain.hi.x = GetF64(h, RequestRow("domain_hi_x"));
+  p.domain.hi.y = GetF64(h, RequestRow("domain_hi_y"));
+  p.hash = Get(h, RequestRow("set_hash"));
+  if (p.width <= 0 || p.height <= 0) {
+    return Fail(error, "non-positive raster size");
+  }
+  if (static_cast<uint64_t>(p.width) * static_cast<uint64_t>(p.height) >
+      kMaxWirePixels) {
+    return Fail(error, "raster exceeds the pixel ceiling");
+  }
+  if (!IsFinite(p.domain)) return Fail(error, "non-finite request domain");
+  if (!(p.domain.lo.x < p.domain.hi.x) || !(p.domain.lo.y < p.domain.hi.y)) {
+    return Fail(error, "degenerate request domain");
+  }
+  return p;
+}
+
+// --- Plain and tile requests ----------------------------------------------
+// A tile request is a plain request plus three tile rows: both carry the
+// circle count in the same row and the inline circles after their header.
+
+std::vector<uint8_t> EncodeCircleRequest(const WireRequest& request,
+                                         const char magic[4],
+                                         size_t header_bytes) {
+  const size_t count = request.inline_circles ? request.circles.size() : 0;
+  std::vector<uint8_t> out(header_bytes + count * wl::kCircleBytes);
+  PutPrefix(out.data(), magic,
+            {request.metric,
+             request.inline_circles ? kFlagInlineCircles : uint8_t{0},
+             request.width, request.height, request.domain, request.set_hash});
+  Put(out.data(), RequestRow("circle_count"), count);
+  for (size_t i = 0; i < count; ++i) {
+    PutCircle(out.data() + header_bytes + i * wl::kCircleBytes,
+              request.circles[i]);
+  }
+  return out;
+}
+
+// Reads the prefix and the inline payload: `circle_count` records filling
+// the rest of the frame exactly, each finite, together hashing to the
+// header's set_hash. A by-reference frame carries no payload.
+std::optional<WireRequest> DecodeCircleRequest(std::span<const uint8_t> bytes,
+                                               const char magic[4],
+                                               std::string_view kind,
+                                               size_t header_bytes,
+                                               std::string* error) {
+  const std::optional<Prefix> p = GetPrefix(bytes, magic, kind, header_bytes,
+                                            kFlagInlineCircles, error);
+  if (!p.has_value()) return std::nullopt;
+  WireRequest request;
+  request.metric = p->metric;
+  request.set_hash = p->hash;
+  request.inline_circles = (p->flags & kFlagInlineCircles) != 0;
+  request.domain = p->domain;
+  request.width = p->width;
+  request.height = p->height;
+  const uint64_t count = Get(bytes.data(), RequestRow("circle_count"));
+  const std::span<const uint8_t> payload = bytes.subspan(header_bytes);
+  if (!request.inline_circles) {
+    if (count != 0) {
+      return Fail(error, "by-reference " + std::string(kind) +
+                             " carries circles");
+    }
+    if (!payload.empty()) {
+      return Fail(error, "trailing " + std::string(kind) + " bytes");
+    }
+    return request;
+  }
+  if (payload.size() / wl::kCircleBytes < count ||
+      payload.size() != count * wl::kCircleBytes) {
+    return Fail(error, "circle payload size mismatch");
+  }
+  request.circles.reserve(count);
+  for (size_t at = 0; at < payload.size(); at += wl::kCircleBytes) {
+    const NnCircle c = GetCircle(payload.data() + at);
+    if (!IsFinite(c)) {
+      return Fail(error, "non-finite circle center or radius");
+    }
+    request.circles.push_back(c);
+  }
+  if (HashCircleSet(request.circles, request.metric) != request.set_hash) {
+    return Fail(error, "circle payload does not match its content hash");
+  }
+  return request;
+}
+
+// --- Responses ------------------------------------------------------------
+
+void PutResponseHeader(std::vector<uint8_t>* out, WireStatus status,
+                       bool from_cache, std::string_view message) {
+  uint8_t* h = Grow(out, wl::kResponseHeaderBytes);
+  PutMagic(h, ResponseRow("magic"), kResponseMagic);
+  Put(h, ResponseRow("version"), kWireVersion);
+  Put(h, ResponseRow("status"), static_cast<uint8_t>(status));
+  Put(h, ResponseRow("from_cache"), from_cache ? 1 : 0);
+  Put(h, ResponseRow("error_len"), message.size());
+  out->insert(out->end(), message.begin(), message.end());
+}
+
+// Calls f(counter) on the 17 stats words of a success response, in wire
+// order — the one list the encoder and the decoder share.
+template <typename Response, typename F>
+void ForEachStatsWord(Response& r, F&& f) {
+  f(r.stats.num_circles);
+  f(r.stats.num_skipped_circles);
+  f(r.stats.num_events);
+  f(r.stats.num_labelings);
+  f(r.stats.num_merged_intervals);
+  f(r.stats.num_elements_walked);
+  f(r.l2_stats.num_circles);
+  f(r.l2_stats.num_skipped_circles);
+  f(r.l2_stats.num_events);
+  f(r.l2_stats.num_cross_events);
+  f(r.l2_stats.num_labelings);
+  f(r.cache.hits);
+  f(r.cache.misses);
+  f(r.cache.insertions);
+  f(r.cache.evictions);
+  f(r.cache.entries);
+  f(r.cache.bytes);
+}
+
+constexpr size_t kStatsWordsBytes = wl::kResponseStatsWords * sizeof(uint64_t);
+
+// The success prefix every response shares: header plus the stats words,
+// with room reserved for a grid of `grid_bytes`.
+template <typename Response>
+std::vector<uint8_t> EncodeResponsePrefix(const Response& response,
+                                          size_t grid_bytes) {
+  std::vector<uint8_t> out;
+  out.reserve(wl::kResponseHeaderBytes + kStatsWordsBytes + grid_bytes);
+  PutResponseHeader(&out, WireStatus::kOk, response.from_cache, {});
+  uint8_t* word = Grow(&out, kStatsWordsBytes);
+  ForEachStatsWord(response, [&](uint64_t v) {
+    StoreLe(word, sizeof(uint64_t), v);
+    word += sizeof(uint64_t);
+  });
+  return out;
+}
+
+// --- Stats frames ---------------------------------------------------------
+
+// Calls f(row, counter) on every counter of a stats response.
+template <typename Reply, typename F>
+void ForEachStatsField(Reply& r, F&& f) {
+  f(StatsResponseRow("shards"), r.shards);
+  f(StatsResponseRow("requests"), r.requests);
+  f(StatsResponseRow("ok"), r.ok);
+  f(StatsResponseRow("errors"), r.errors);
+  f(StatsResponseRow("sets_registered"), r.sets_registered);
+  f(StatsResponseRow("deltas"), r.deltas);
+  f(StatsResponseRow("delta_splices"), r.delta_splices);
+  f(StatsResponseRow("sets_evicted"), r.sets_evicted);
+  f(StatsResponseRow("delta_dirty_columns"), r.delta_dirty_columns);
+  f(StatsResponseRow("tile_requests"), r.tile_requests);
+  f(StatsResponseRow("tile_fragments"), r.tile_fragments);
 }
 
 }  // namespace
@@ -254,288 +400,121 @@ WireRequest MakeWireRequest(const CircleSetSnapshot& set, const Rect& domain,
 }
 
 std::vector<uint8_t> EncodeRequest(const WireRequest& request) {
-  std::vector<uint8_t> out;
-  out.reserve(kRequestHeaderBytes + request.circles.size() * kCircleBytes);
-  PutMagic(&out, kRequestMagic);
-  PutU32(&out, kWireVersion);
-  out.push_back(static_cast<uint8_t>(request.metric));
-  out.push_back(request.inline_circles ? kFlagInlineCircles : 0);
-  PutU16(&out, 0);  // reserved
-  PutI32(&out, request.width);
-  PutI32(&out, request.height);
-  PutF64(&out, request.domain.lo.x);
-  PutF64(&out, request.domain.lo.y);
-  PutF64(&out, request.domain.hi.x);
-  PutF64(&out, request.domain.hi.y);
-  PutU64(&out, request.set_hash);
-  PutU64(&out, request.inline_circles
-                   ? static_cast<uint64_t>(request.circles.size())
-                   : 0);
-  if (request.inline_circles) {
-    for (const NnCircle& c : request.circles) {
-      PutF64(&out, c.center.x);
-      PutF64(&out, c.center.y);
-      PutF64(&out, c.radius);
-      PutI32(&out, c.client);
-    }
-  }
-  return out;
+  return EncodeCircleRequest(request, kRequestMagic, wl::kRequestHeaderBytes);
 }
 
 std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
                                          std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kRequestMagic)) return Fail(error, "bad request magic");
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
-  }
-  WireRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.set_hash = r.U64();
-  const uint64_t count = r.U64();
-  if (!r.ok()) return Fail(error, "request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
-  }
-  request.metric = static_cast<Metric>(metric);
-  if ((flags & ~kFlagInlineCircles) != 0 || reserved != 0) {
-    return Fail(error, "reserved request bits set");
-  }
-  request.inline_circles = (flags & kFlagInlineCircles) != 0;
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!IsFinite(request.domain)) {
-    return Fail(error, "non-finite request domain");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
-  if (!request.inline_circles) {
-    if (count != 0) return Fail(error, "by-reference request carries circles");
-    if (r.remaining() != 0) return Fail(error, "trailing request bytes");
-    return request;
-  }
-  if (r.remaining() / kCircleBytes < count ||
-      r.remaining() != count * kCircleBytes) {
-    return Fail(error, "circle payload size mismatch");
-  }
-  request.circles.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NnCircle c;
-    c.center.x = r.F64();
-    c.center.y = r.F64();
-    c.radius = r.F64();
-    c.client = r.I32();
-    if (r.ok() && !IsFinite(c)) {
-      return Fail(error, "non-finite circle center or radius");
-    }
-    request.circles.push_back(c);
-  }
-  if (!r.ok()) return Fail(error, "circle payload truncated");
-  if (HashCircleSet(request.circles, request.metric) != request.set_hash) {
-    return Fail(error, "circle payload does not match its content hash");
-  }
-  return request;
-}
-
-std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
-                                         Status* status) {
-  std::string error;
-  std::optional<WireRequest> request = DecodeRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
-  }
-  return request;
-}
-
-std::optional<uint64_t> PeekRequestSetHash(std::span<const uint8_t> bytes) {
-  const std::optional<WireRouteInfo> info = PeekRouteInfo(bytes);
-  if (!info.has_value()) return std::nullopt;
-  return info->route_hash;
+  return DecodeCircleRequest(bytes, kRequestMagic, "request",
+                             wl::kRequestHeaderBytes, error);
 }
 
 std::optional<WireRouteInfo> PeekRouteInfo(std::span<const uint8_t> bytes) {
-  if (bytes.size() < kRequestSetHashOffset + sizeof(uint64_t)) {
+  // One row serves all three kinds: a delta's base_hash and a tile
+  // request's set_hash repeat the request's set_hash row.
+  constexpr wl::WireField kHash = RequestRow("set_hash");
+  if (!Covers(bytes, kHash)) return std::nullopt;
+  WireRouteInfo info;
+  info.is_delta = HasMagic(bytes, DeltaRow("magic"), kDeltaRequestMagic);
+  info.is_tile = HasMagic(bytes, TileRow("magic"), kTileRequestMagic);
+  if (!info.is_delta && !info.is_tile &&
+      !HasMagic(bytes, RequestRow("magic"), kRequestMagic)) {
     return std::nullopt;
   }
-  const bool is_request = std::memcmp(bytes.data(), kRequestMagic, 4) == 0;
-  const bool is_delta = std::memcmp(bytes.data(), kDeltaRequestMagic, 4) == 0;
-  const bool is_tile = std::memcmp(bytes.data(), kTileRequestMagic, 4) == 0;
-  if (!is_request && !is_delta && !is_tile) return std::nullopt;
-  Reader version(bytes.data() + 4, 4);
-  if (version.U32() != kWireVersion) return std::nullopt;
-  WireRouteInfo info;
-  info.is_delta = is_delta;
-  info.is_tile = is_tile;
-  Reader hash(bytes.data() + kRequestSetHashOffset, sizeof(uint64_t));
-  info.route_hash = hash.U64();
-  if (is_delta) {
-    if (bytes.size() < kDeltaNewHashOffset + sizeof(uint64_t)) {
-      return std::nullopt;
-    }
-    Reader derived(bytes.data() + kDeltaNewHashOffset, sizeof(uint64_t));
-    info.derived_hash = derived.U64();
+  const uint8_t* h = bytes.data();
+  if (Get(h, RequestRow("version")) != kWireVersion) return std::nullopt;
+  info.route_hash = Get(h, kHash);
+  if (info.is_delta) {
+    constexpr wl::WireField kNewHash = DeltaRow("new_hash");
+    if (!Covers(bytes, kNewHash)) return std::nullopt;
+    info.derived_hash = Get(h, kNewHash);
   }
-  if (is_tile) {
-    if (bytes.size() < kTileIdOffset + sizeof(uint32_t)) {
-      return std::nullopt;
-    }
-    Reader tile(bytes.data() + kTileIdOffset, sizeof(uint32_t));
-    info.tile_id = tile.U32();
+  if (info.is_tile) {
+    constexpr wl::WireField kTileId = TileRow("tile_id");
+    if (!Covers(bytes, kTileId)) return std::nullopt;
+    info.tile_id = static_cast<uint32_t>(Get(h, kTileId));
   }
   return info;
 }
 
 std::vector<uint8_t> EncodeDeltaRequest(const WireDeltaRequest& request) {
-  std::vector<uint8_t> out;
-  out.reserve(kDeltaHeaderBytes +
-              request.edits.size() * (1 + sizeof(uint32_t) + kCircleBytes));
-  PutMagic(&out, kDeltaRequestMagic);
-  PutU32(&out, kWireVersion);
-  out.push_back(static_cast<uint8_t>(request.metric));
-  out.push_back(0);  // flags (none defined for deltas)
-  PutU16(&out, 0);   // reserved
-  PutI32(&out, request.width);
-  PutI32(&out, request.height);
-  PutF64(&out, request.domain.lo.x);
-  PutF64(&out, request.domain.lo.y);
-  PutF64(&out, request.domain.hi.x);
-  PutF64(&out, request.domain.hi.y);
-  PutU64(&out, request.base_hash);
-  PutU64(&out, request.new_hash);
-  PutU64(&out, static_cast<uint64_t>(request.edits.size()));
+  std::vector<uint8_t> out(wl::kDeltaHeaderBytes);
+  out.reserve(wl::kDeltaHeaderBytes +
+              request.edits.size() * (1 + kEditIndexBytes + wl::kCircleBytes));
+  PutPrefix(out.data(), kDeltaRequestMagic,
+            {request.metric, /*flags=*/0, request.width, request.height,
+             request.domain, request.base_hash});
+  Put(out.data(), DeltaRow("new_hash"), request.new_hash);
+  Put(out.data(), DeltaRow("edit_count"), request.edits.size());
   for (const CircleSetEdit& edit : request.edits) {
     out.push_back(static_cast<uint8_t>(edit.kind));
-    switch (edit.kind) {
-      case CircleSetEdit::Kind::kReplace:
-        PutU32(&out, edit.index);
-        PutF64(&out, edit.circle.center.x);
-        PutF64(&out, edit.circle.center.y);
-        PutF64(&out, edit.circle.radius);
-        PutI32(&out, edit.circle.client);
-        break;
-      case CircleSetEdit::Kind::kAppend:
-        PutF64(&out, edit.circle.center.x);
-        PutF64(&out, edit.circle.center.y);
-        PutF64(&out, edit.circle.radius);
-        PutI32(&out, edit.circle.client);
-        break;
-      case CircleSetEdit::Kind::kSwapRemove:
-        PutU32(&out, edit.index);
-        break;
+    if (edit.kind != CircleSetEdit::Kind::kAppend) {
+      StoreLe(Grow(&out, kEditIndexBytes), kEditIndexBytes, edit.index);
+    }
+    if (edit.kind != CircleSetEdit::Kind::kSwapRemove) {
+      PutCircle(Grow(&out, wl::kCircleBytes), edit.circle);
     }
   }
   return out;
 }
 
 bool IsDeltaRequest(std::span<const uint8_t> bytes) {
-  return bytes.size() >= 4 &&
-         std::memcmp(bytes.data(), kDeltaRequestMagic, 4) == 0;
+  return HasMagic(bytes, DeltaRow("magic"), kDeltaRequestMagic);
 }
 
 std::optional<WireDeltaRequest> DecodeDeltaRequest(
     std::span<const uint8_t> bytes, std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kDeltaRequestMagic)) {
-    return Fail(error, "bad delta request magic");
-  }
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
-  }
+  const std::optional<Prefix> p =
+      GetPrefix(bytes, kDeltaRequestMagic, "delta request",
+                wl::kDeltaHeaderBytes, /*allowed_flags=*/0, error);
+  if (!p.has_value()) return std::nullopt;
   WireDeltaRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.base_hash = r.U64();
-  request.new_hash = r.U64();
-  const uint64_t count = r.U64();
-  if (!r.ok()) return Fail(error, "delta request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
-  }
-  request.metric = static_cast<Metric>(metric);
-  if (flags != 0 || reserved != 0) {
-    return Fail(error, "reserved delta request bits set");
-  }
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!IsFinite(request.domain)) {
-    return Fail(error, "non-finite request domain");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
-  // Every edit is at least one op byte, so a count over the remaining
+  request.metric = p->metric;
+  request.base_hash = p->hash;
+  request.domain = p->domain;
+  request.width = p->width;
+  request.height = p->height;
+  request.new_hash = Get(bytes.data(), DeltaRow("new_hash"));
+  const uint64_t count = Get(bytes.data(), DeltaRow("edit_count"));
+  const std::span<const uint8_t> edits = bytes.subspan(wl::kDeltaHeaderBytes);
+  // Every edit is at least one kind byte, so a count over the remaining
   // payload can never be satisfied — reject before reserving memory.
-  if (count > r.remaining()) {
+  if (count > edits.size()) {
     return Fail(error, "delta edit count over the payload size");
   }
   request.edits.reserve(count);
+  size_t at = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    CircleSetEdit edit;
-    const uint8_t kind = r.U8();
-    if (!r.ok()) return Fail(error, "delta edit list truncated");
+    if (at == edits.size()) {
+      return Fail(error, "delta edit list truncated");
+    }
+    const uint8_t kind = edits[at++];
     if (kind > static_cast<uint8_t>(CircleSetEdit::Kind::kSwapRemove)) {
       return Fail(error, "unknown delta edit kind");
     }
+    CircleSetEdit edit;
     edit.kind = static_cast<CircleSetEdit::Kind>(kind);
-    switch (edit.kind) {
-      case CircleSetEdit::Kind::kReplace:
-        edit.index = r.U32();
-        edit.circle.center.x = r.F64();
-        edit.circle.center.y = r.F64();
-        edit.circle.radius = r.F64();
-        edit.circle.client = r.I32();
-        break;
-      case CircleSetEdit::Kind::kAppend:
-        edit.circle.center.x = r.F64();
-        edit.circle.center.y = r.F64();
-        edit.circle.radius = r.F64();
-        edit.circle.client = r.I32();
-        break;
-      case CircleSetEdit::Kind::kSwapRemove:
-        edit.index = r.U32();
-        break;
+    const bool has_index = edit.kind != CircleSetEdit::Kind::kAppend;
+    const bool has_circle = edit.kind != CircleSetEdit::Kind::kSwapRemove;
+    if (edits.size() - at < (has_index ? kEditIndexBytes : 0) +
+                                (has_circle ? wl::kCircleBytes : 0)) {
+      return Fail(error, "delta edit list truncated");
     }
-    if (!r.ok()) return Fail(error, "delta edit list truncated");
-    if (edit.kind != CircleSetEdit::Kind::kSwapRemove &&
-        !IsFinite(edit.circle)) {
-      return Fail(error, "non-finite delta circle center or radius");
+    if (has_index) {
+      edit.index = static_cast<uint32_t>(LoadLe(&edits[at], kEditIndexBytes));
+      at += kEditIndexBytes;
+    }
+    if (has_circle) {
+      edit.circle = GetCircle(&edits[at]);
+      at += wl::kCircleBytes;
+      if (!IsFinite(edit.circle)) {
+        return Fail(error, "non-finite delta circle center or radius");
+      }
     }
     request.edits.push_back(edit);
   }
-  if (r.remaining() != 0) {
+  if (at != edits.size()) {
     return Fail(error, "trailing delta request bytes");
-  }
-  return request;
-}
-
-std::optional<WireDeltaRequest> DecodeDeltaRequest(
-    std::span<const uint8_t> bytes, Status* status) {
-  std::string error;
-  std::optional<WireDeltaRequest> request = DecodeDeltaRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
   }
   return request;
 }
@@ -544,98 +523,34 @@ WireTileRequest MakeWireTileRequest(const CircleSetSnapshot& set,
                                     const Rect& domain, int width, int height,
                                     bool include_circles, int tile_rows,
                                     int tile_cols, int tile_id) {
-  WireTileRequest request;
-  request.metric = set.metric();
-  request.set_hash = set.content_hash();
-  request.inline_circles = include_circles;
-  if (include_circles) request.circles = set.circles();
-  request.domain = domain;
-  request.width = width;
-  request.height = height;
-  request.tile_rows = tile_rows;
-  request.tile_cols = tile_cols;
-  request.tile_id = tile_id;
-  return request;
+  return WireTileRequest{
+      MakeWireRequest(set, domain, width, height, include_circles),
+      tile_rows, tile_cols, tile_id};
 }
 
 std::vector<uint8_t> EncodeTileRequest(const WireTileRequest& request) {
-  std::vector<uint8_t> out;
-  out.reserve(kTileHeaderBytes + request.circles.size() * kCircleBytes);
-  PutMagic(&out, kTileRequestMagic);
-  PutU32(&out, kWireVersion);
-  out.push_back(static_cast<uint8_t>(request.metric));
-  out.push_back(request.inline_circles ? kFlagInlineCircles : 0);
-  PutU16(&out, 0);  // reserved
-  PutI32(&out, request.width);
-  PutI32(&out, request.height);
-  PutF64(&out, request.domain.lo.x);
-  PutF64(&out, request.domain.lo.y);
-  PutF64(&out, request.domain.hi.x);
-  PutF64(&out, request.domain.hi.y);
-  PutU64(&out, request.set_hash);
-  PutU64(&out, request.inline_circles
-                   ? static_cast<uint64_t>(request.circles.size())
-                   : 0);
-  PutI32(&out, request.tile_rows);
-  PutI32(&out, request.tile_cols);
-  PutI32(&out, request.tile_id);
-  if (request.inline_circles) {
-    for (const NnCircle& c : request.circles) {
-      PutF64(&out, c.center.x);
-      PutF64(&out, c.center.y);
-      PutF64(&out, c.radius);
-      PutI32(&out, c.client);
-    }
-  }
+  std::vector<uint8_t> out =
+      EncodeCircleRequest(request, kTileRequestMagic, wl::kTileHeaderBytes);
+  uint8_t* h = out.data();
+  Put(h, TileRow("tile_rows"), static_cast<uint32_t>(request.tile_rows));
+  Put(h, TileRow("tile_cols"), static_cast<uint32_t>(request.tile_cols));
+  Put(h, TileRow("tile_id"), static_cast<uint32_t>(request.tile_id));
   return out;
 }
 
 bool IsTileRequest(std::span<const uint8_t> bytes) {
-  return bytes.size() >= 4 &&
-         std::memcmp(bytes.data(), kTileRequestMagic, 4) == 0;
+  return HasMagic(bytes, TileRow("magic"), kTileRequestMagic);
 }
 
 std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
                                                  std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kTileRequestMagic)) return Fail(error, "bad tile request magic");
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
-  }
-  WireTileRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.set_hash = r.U64();
-  const uint64_t count = r.U64();
-  request.tile_rows = r.I32();
-  request.tile_cols = r.I32();
-  request.tile_id = r.I32();
-  if (!r.ok()) return Fail(error, "tile request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
-  }
-  request.metric = static_cast<Metric>(metric);
-  if ((flags & ~kFlagInlineCircles) != 0 || reserved != 0) {
-    return Fail(error, "reserved tile request bits set");
-  }
-  request.inline_circles = (flags & kFlagInlineCircles) != 0;
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!IsFinite(request.domain)) {
-    return Fail(error, "non-finite request domain");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
+  std::optional<WireRequest> base = DecodeCircleRequest(
+      bytes, kTileRequestMagic, "tile request", wl::kTileHeaderBytes, error);
+  if (!base.has_value()) return std::nullopt;
+  WireTileRequest request{std::move(*base),
+                          GetI32(bytes.data(), TileRow("tile_rows")),
+                          GetI32(bytes.data(), TileRow("tile_cols")),
+                          GetI32(bytes.data(), TileRow("tile_id"))};
   if (request.tile_rows < 1 || request.tile_cols < 1 ||
       request.tile_rows > kMaxWireTileGridSide ||
       request.tile_cols > kMaxWireTileGridSide) {
@@ -645,107 +560,20 @@ std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
       request.tile_id >= request.tile_rows * request.tile_cols) {
     return Fail(error, "tile id outside the tile grid");
   }
-  if (!request.inline_circles) {
-    if (count != 0) {
-      return Fail(error, "by-reference tile request carries circles");
-    }
-    if (r.remaining() != 0) return Fail(error, "trailing tile request bytes");
-    return request;
-  }
-  if (r.remaining() / kCircleBytes < count ||
-      r.remaining() != count * kCircleBytes) {
-    return Fail(error, "circle payload size mismatch");
-  }
-  request.circles.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NnCircle c;
-    c.center.x = r.F64();
-    c.center.y = r.F64();
-    c.radius = r.F64();
-    c.client = r.I32();
-    if (r.ok() && !IsFinite(c)) {
-      return Fail(error, "non-finite circle center or radius");
-    }
-    request.circles.push_back(c);
-  }
-  if (!r.ok()) return Fail(error, "circle payload truncated");
-  if (HashCircleSet(request.circles, request.metric) != request.set_hash) {
-    return Fail(error, "circle payload does not match its content hash");
-  }
   return request;
 }
-
-std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
-                                                 Status* status) {
-  std::string error;
-  std::optional<WireTileRequest> request = DecodeTileRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
-  }
-  return request;
-}
-
-namespace {
-
-void EncodeResponseHeader(std::vector<uint8_t>* out, WireStatus status,
-                          bool from_cache, const std::string& message) {
-  PutMagic(out, kResponseMagic);
-  PutU32(out, kWireVersion);
-  out->push_back(static_cast<uint8_t>(status));
-  out->push_back(from_cache ? 1 : 0);
-  PutU16(out, 0);  // reserved
-  PutU32(out, static_cast<uint32_t>(message.size()));
-  out->insert(out->end(), message.begin(), message.end());
-}
-
-// The success prefix every response shares: header plus the 17 stats
-// words, with room reserved for a grid of `grid_bytes`.
-std::vector<uint8_t> EncodeResponsePrefix(const CrestStats& stats,
-                                          const CrestL2Stats& l2_stats,
-                                          bool from_cache,
-                                          const SweepCacheStats& cache,
-                                          size_t grid_bytes) {
-  std::vector<uint8_t> out;
-  out.reserve(kResponseHeaderBytes +
-              wl::kResponseStatsWords * sizeof(uint64_t) + grid_bytes);
-  EncodeResponseHeader(&out, WireStatus::kOk, from_cache, "");
-  PutU64(&out, stats.num_circles);
-  PutU64(&out, stats.num_skipped_circles);
-  PutU64(&out, stats.num_events);
-  PutU64(&out, stats.num_labelings);
-  PutU64(&out, stats.num_merged_intervals);
-  PutU64(&out, stats.num_elements_walked);
-  PutU64(&out, l2_stats.num_circles);
-  PutU64(&out, l2_stats.num_skipped_circles);
-  PutU64(&out, l2_stats.num_events);
-  PutU64(&out, l2_stats.num_cross_events);
-  PutU64(&out, l2_stats.num_labelings);
-  PutU64(&out, cache.hits);
-  PutU64(&out, cache.misses);
-  PutU64(&out, cache.insertions);
-  PutU64(&out, cache.evictions);
-  PutU64(&out, cache.entries);
-  PutU64(&out, cache.bytes);
-  return out;
-}
-
-}  // namespace
 
 std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response) {
   // The encoding is only known once the fused scan has run: EncodeHeatmap
   // sizes the buffer for it, so nothing is reserved for the grid here.
-  std::vector<uint8_t> out =
-      EncodeResponsePrefix(response.stats, response.l2_stats,
-                           response.from_cache, response.cache, 0);
+  std::vector<uint8_t> out = EncodeResponsePrefix(response, 0);
   EncodeHeatmap(response.grid, &out);
   return out;
 }
 
 std::vector<uint8_t> EncodeResponse(const PackedHeatmapResponse& response) {
-  std::vector<uint8_t> out = EncodeResponsePrefix(
-      response.stats, response.l2_stats, response.from_cache, response.cache,
-      SerializedSizeBytes(*response.grid));
+  std::vector<uint8_t> out =
+      EncodeResponsePrefix(response, SerializedSizeBytes(*response.grid));
   EncodeHeatmap(*response.grid, &out);
   return out;
 }
@@ -753,170 +581,137 @@ std::vector<uint8_t> EncodeResponse(const PackedHeatmapResponse& response) {
 std::vector<uint8_t> EncodeErrorResponse(WireStatus status,
                                          const std::string& message) {
   std::vector<uint8_t> out;
-  EncodeResponseHeader(&out, status, /*from_cache=*/false, message);
+  PutResponseHeader(&out, status, /*from_cache=*/false, message);
   return out;
 }
 
 std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
                                            std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kResponseMagic)) return Fail(error, "bad response magic");
-  if (r.U32() != kWireVersion) {
+  if (!HasMagic(bytes, ResponseRow("magic"), kResponseMagic)) {
+    return Fail(error, "bad response magic");
+  }
+  if (bytes.size() < wl::kResponseHeaderBytes) {
+    return Fail(error, "response header truncated");
+  }
+  const uint8_t* h = bytes.data();
+  if (Get(h, ResponseRow("version")) != kWireVersion) {
     return Fail(error, "unsupported wire version");
   }
-  const uint8_t status = r.U8();
-  const uint8_t from_cache = r.U8();
-  const uint16_t reserved = r.U16();
-  const uint32_t error_len = r.U32();
-  if (!r.ok()) return Fail(error, "response header truncated");
+  const uint64_t status = Get(h, ResponseRow("status"));
+  const uint64_t from_cache = Get(h, ResponseRow("from_cache"));
+  const uint64_t error_len = Get(h, ResponseRow("error_len"));
   if (status > static_cast<uint8_t>(WireStatus::kServerError)) {
     return Fail(error, "unknown response status");
   }
-  if (reserved != 0 || from_cache > 1) {
+  if (Get(h, ResponseRow("reserved")) != 0 || from_cache > 1) {
     return Fail(error, "reserved response bits set");
   }
   WireResponse response;
   response.status = static_cast<WireStatus>(status);
-  if (error_len > 0) {
-    if (r.remaining() < error_len) {
-      return Fail(error, "response error message truncated");
-    }
-    response.error.assign(reinterpret_cast<const char*>(r.cursor()),
-                          error_len);
-    r.Skip(error_len);
+  std::span<const uint8_t> rest = bytes.subspan(wl::kResponseHeaderBytes);
+  if (rest.size() < error_len) {
+    return Fail(error, "response error message truncated");
   }
+  response.error.assign(reinterpret_cast<const char*>(rest.data()),
+                        error_len);
+  rest = rest.subspan(error_len);
   if (response.status != WireStatus::kOk) {
-    if (r.remaining() != 0) return Fail(error, "trailing response bytes");
+    if (!rest.empty()) {
+      return Fail(error, "trailing response bytes");
+    }
     return response;
   }
   if (error_len != 0) {
     return Fail(error, "ok response carries an error message");
   }
-  CrestStats stats;
-  stats.num_circles = r.U64();
-  stats.num_skipped_circles = r.U64();
-  stats.num_events = r.U64();
-  stats.num_labelings = r.U64();
-  stats.num_merged_intervals = r.U64();
-  stats.num_elements_walked = r.U64();
-  CrestL2Stats l2_stats;
-  l2_stats.num_circles = r.U64();
-  l2_stats.num_skipped_circles = r.U64();
-  l2_stats.num_events = r.U64();
-  l2_stats.num_cross_events = r.U64();
-  l2_stats.num_labelings = r.U64();
-  SweepCacheStats cache;
-  cache.hits = r.U64();
-  cache.misses = r.U64();
-  cache.insertions = r.U64();
-  cache.evictions = r.U64();
-  cache.entries = r.U64();
-  cache.bytes = r.U64();
-  if (!r.ok()) return Fail(error, "response counters truncated");
+  if (rest.size() < kStatsWordsBytes) {
+    return Fail(error, "response counters truncated");
+  }
+  struct {
+    CrestStats stats;
+    CrestL2Stats l2_stats;
+    SweepCacheStats cache;
+  } counters;
+  ForEachStatsWord(counters, [&](auto& counter) {
+    counter = LoadLe(rest.data(), sizeof(uint64_t));
+    rest = rest.subspan(sizeof(uint64_t));
+  });
   size_t consumed = 0;
   std::string grid_error;
   std::optional<HeatmapGrid> grid =
-      DecodeHeatmap(r.cursor(), r.remaining(), &consumed, &grid_error);
+      DecodeHeatmap(rest.data(), rest.size(), &consumed, &grid_error);
   if (!grid.has_value()) {
-    if (error != nullptr) *error = "response grid: " + grid_error;
-    return std::nullopt;
+    return Fail(error, "response grid: " + grid_error);
   }
-  if (consumed != r.remaining()) {
+  if (consumed != rest.size()) {
     return Fail(error, "trailing response bytes");
   }
-  response.response.emplace(HeatmapResponse{
-      std::move(*grid), stats, l2_stats, from_cache != 0, cache});
-  return response;
-}
-
-std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
-                                           Status* status) {
-  std::string error;
-  std::optional<WireResponse> response = DecodeResponse(bytes, &error);
-  if (status != nullptr) {
-    *status = response.has_value()
-                  ? Status::Ok()
-                  : Status::InvalidArgument(std::move(error));
-  }
+  response.response.emplace(HeatmapResponse{std::move(*grid), counters.stats,
+                                            counters.l2_stats, from_cache != 0,
+                                            counters.cache});
   return response;
 }
 
 std::vector<uint8_t> EncodeStatsRequest() {
-  std::vector<uint8_t> out;
-  out.reserve(kStatsRequestBytes);
-  PutMagic(&out, kStatsRequestMagic);
-  PutU32(&out, kWireVersion);
-  PutU32(&out, 0);  // reserved
+  std::vector<uint8_t> out(wl::kStatsRequestBytes);
+  PutMagic(out.data(), StatsRequestRow("magic"), kStatsRequestMagic);
+  Put(out.data(), StatsRequestRow("version"), kWireVersion);
   return out;
 }
 
 bool IsStatsRequest(std::span<const uint8_t> bytes) {
-  return bytes.size() >= 4 &&
-         std::memcmp(bytes.data(), kStatsRequestMagic, 4) == 0;
+  return HasMagic(bytes, StatsRequestRow("magic"), kStatsRequestMagic);
 }
 
 Status DecodeStatsRequest(std::span<const uint8_t> bytes) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kStatsRequestMagic)) {
+  if (!IsStatsRequest(bytes)) {
     return Status::InvalidArgument("bad stats request magic");
   }
-  if (r.U32() != kWireVersion) {
+  if (bytes.size() < wl::kStatsRequestBytes) {
+    return Status::InvalidArgument("stats request truncated");
+  }
+  if (Get(bytes.data(), StatsRequestRow("version")) != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version");
   }
-  const uint32_t reserved = r.U32();
-  if (!r.ok()) return Status::InvalidArgument("stats request truncated");
-  if (reserved != 0) {
+  if (Get(bytes.data(), StatsRequestRow("reserved")) != 0) {
     return Status::InvalidArgument("reserved stats request bits set");
   }
-  if (r.remaining() != 0) {
+  if (bytes.size() != wl::kStatsRequestBytes) {
     return Status::InvalidArgument("trailing stats request bytes");
   }
   return Status::Ok();
 }
 
 std::vector<uint8_t> EncodeStatsResponse(const WireStatsReply& reply) {
-  std::vector<uint8_t> out;
-  out.reserve(kStatsResponseBytes);
-  PutMagic(&out, kStatsResponseMagic);
-  PutU32(&out, kWireVersion);
-  PutU32(&out, reply.shards);
-  PutU64(&out, reply.requests);
-  PutU64(&out, reply.ok);
-  PutU64(&out, reply.errors);
-  PutU64(&out, reply.sets_registered);
-  PutU64(&out, reply.deltas);
-  PutU64(&out, reply.delta_splices);
-  PutU64(&out, reply.sets_evicted);
-  PutU64(&out, reply.delta_dirty_columns);
-  PutU64(&out, reply.tile_requests);
-  PutU64(&out, reply.tile_fragments);
+  std::vector<uint8_t> out(wl::kStatsResponseBytes);
+  PutMagic(out.data(), StatsResponseRow("magic"), kStatsResponseMagic);
+  Put(out.data(), StatsResponseRow("version"), kWireVersion);
+  ForEachStatsField(reply, [&](wl::WireField row, uint64_t v) {
+    Put(out.data(), row, v);
+  });
   return out;
 }
 
 std::optional<WireStatsReply> DecodeStatsResponse(
     std::span<const uint8_t> bytes, std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kStatsResponseMagic)) {
+  if (!HasMagic(bytes, StatsResponseRow("magic"), kStatsResponseMagic)) {
     return Fail(error, "bad stats response magic");
   }
-  if (r.U32() != kWireVersion) {
+  if (bytes.size() < wl::kStatsResponseBytes) {
+    return Fail(error, "stats response truncated");
+  }
+  if (Get(bytes.data(), StatsResponseRow("version")) != kWireVersion) {
     return Fail(error, "unsupported wire version");
   }
   WireStatsReply reply;
-  reply.shards = r.U32();
-  reply.requests = r.U64();
-  reply.ok = r.U64();
-  reply.errors = r.U64();
-  reply.sets_registered = r.U64();
-  reply.deltas = r.U64();
-  reply.delta_splices = r.U64();
-  reply.sets_evicted = r.U64();
-  reply.delta_dirty_columns = r.U64();
-  reply.tile_requests = r.U64();
-  reply.tile_fragments = r.U64();
-  if (!r.ok()) return Fail(error, "stats response truncated");
-  if (reply.shards == 0) return Fail(error, "stats response with no shards");
-  if (r.remaining() != 0) {
+  ForEachStatsField(reply, [&](wl::WireField row, auto& counter) {
+    counter = static_cast<std::remove_reference_t<decltype(counter)>>(
+        Get(bytes.data(), row));
+  });
+  if (reply.shards == 0) {
+    return Fail(error, "stats response with no shards");
+  }
+  if (bytes.size() != wl::kStatsResponseBytes) {
     return Fail(error, "trailing stats response bytes");
   }
   return reply;
@@ -924,9 +719,9 @@ std::optional<WireStatsReply> DecodeStatsResponse(
 
 bool WriteFrame(std::FILE* out, std::span<const uint8_t> payload) {
   if (payload.size() > kMaxFramePayloadBytes) return false;
-  std::vector<uint8_t> prefix;
-  PutU32(&prefix, static_cast<uint32_t>(payload.size()));
-  if (std::fwrite(prefix.data(), 1, prefix.size(), out) != prefix.size()) {
+  uint8_t prefix[sizeof(uint32_t)];
+  StoreLe(prefix, sizeof(prefix), payload.size());
+  if (std::fwrite(prefix, 1, sizeof(prefix), out) != sizeof(prefix)) {
     return false;
   }
   return payload.empty() ||
@@ -937,7 +732,7 @@ bool WriteFrame(std::FILE* out, std::span<const uint8_t> payload) {
 std::optional<std::vector<uint8_t>> ReadFrame(std::FILE* in,
                                               std::string* error) {
   if (error != nullptr) error->clear();
-  uint8_t prefix[4];
+  uint8_t prefix[sizeof(uint32_t)];
   const size_t got = std::fread(prefix, 1, sizeof(prefix), in);
   if (got == 0) {
     if (std::ferror(in) != 0) {
@@ -946,26 +741,18 @@ std::optional<std::vector<uint8_t>> ReadFrame(std::FILE* in,
     return std::nullopt;  // clean EOF when no stream error
   }
   if (got != sizeof(prefix)) {
-    Fail(error, "truncated frame length prefix");
-    return std::nullopt;
+    return Fail(error, "truncated frame length prefix");
   }
-  uint32_t length = 0;
-  for (int i = 3; i >= 0; --i) length = (length << 8) | prefix[i];
+  const uint64_t length = LoadLe(prefix, sizeof(prefix));
   if (length > kMaxFramePayloadBytes) {
-    Fail(error, "frame payload over the size ceiling");
-    return std::nullopt;
+    return Fail(error, "frame payload over the size ceiling");
   }
   std::vector<uint8_t> payload(length);
   if (length > 0 &&
       std::fread(payload.data(), 1, length, in) != length) {
-    Fail(error, "truncated frame payload");
-    return std::nullopt;
+    return Fail(error, "truncated frame payload");
   }
   return payload;
 }
-
-// ServeWireStream is defined in serve/wire_server.cc: the serve layer owns
-// the loop now, and the FILE* signature here stays as its compatibility
-// shim.
 
 }  // namespace rnnhm

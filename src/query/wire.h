@@ -34,9 +34,15 @@
 // num_cross_events) are always zero.
 //
 // Framing: a stream is a sequence of [u32 LE payload length][payload]
-// frames (WriteFrame/ReadFrame); ServeWireStream drains request frames
-// from a FILE* and answers each with one response frame, in order — the
-// loop behind `rnnhm_cli serve`.
+// frames. WireServer::ServeStream (serve/wire_server.h) drains request
+// frames from any ByteSource and answers each with one response frame, in
+// order — the loop behind `rnnhm_cli serve`; WriteFrame/ReadFrame frame
+// FILE* streams for the CLI's file I/O.
+//
+// Layout: every header is read and written at the rows of
+// query/wire_layout.h, by field name; plain, tile and delta requests share
+// one prefix (magic through the set_hash slot) and one validator, which
+// also enforces kMaxWirePixels, so every decoded request is servable.
 //
 // Versioning rules: kWireVersion bumps on any layout change; decoders
 // reject other versions (no negotiation — a shard fleet is deployed in
@@ -79,8 +85,9 @@ inline constexpr uint32_t kWireVersion = 7;
 /// from triggering a giant allocation).
 inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 30;
 
-/// Ceiling on width*height a server accepts from the wire (an otherwise
-/// well-formed request must not be able to demand an absurd raster).
+/// Ceiling on width*height the request decoders accept (an otherwise
+/// well-formed request must not be able to demand an absurd raster — not
+/// of a server, nor of a router that stitches the map itself).
 inline constexpr uint64_t kMaxWirePixels = 1ull << 26;
 
 /// Response status codes.
@@ -125,17 +132,13 @@ std::vector<uint8_t> EncodeRequest(const WireRequest& request);
 
 /// Parses and validates a request message. Returns nullopt on any
 /// malformed input (short buffer, bad magic/version/metric, nonzero
-/// reserved bytes, non-positive raster, non-finite or degenerate domain,
-/// payload size mismatch, a non-finite circle center or radius, inline
-/// content-hash mismatch) with `*error` describing it. Negative radii are
-/// accepted: such a circle contains no point (see NnCircle).
+/// reserved bytes, non-positive raster or one over kMaxWirePixels,
+/// non-finite or degenerate domain, payload size mismatch, a non-finite
+/// circle center or radius, inline content-hash mismatch) with `*error`
+/// describing it. Negative radii are accepted: such a circle contains no
+/// point (see NnCircle).
 std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
                                          std::string* error);
-
-/// Status-returning form: `*status` is kInvalidArgument (with the same
-/// message) whenever the string form would fail, kOk otherwise.
-std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
-                                         Status* status);
 
 /// A decoded response: `response` is engaged iff `status == kOk`,
 /// `error` is the server's message otherwise.
@@ -163,10 +166,6 @@ std::vector<uint8_t> EncodeErrorResponse(WireStatus status,
 /// validated by heatmap/serialization's DecodeHeatmap).
 std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
                                            std::string* error);
-
-/// Status-returning form, mirroring the DecodeRequest overload.
-std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
-                                           Status* status);
 
 // --- Delta registration op (v4) -------------------------------------------
 //
@@ -207,10 +206,6 @@ bool IsDeltaRequest(std::span<const uint8_t> bytes);
 std::optional<WireDeltaRequest> DecodeDeltaRequest(
     std::span<const uint8_t> bytes, std::string* error);
 
-/// Status-returning form, mirroring the DecodeRequest overload.
-std::optional<WireDeltaRequest> DecodeDeltaRequest(
-    std::span<const uint8_t> bytes, Status* status);
-
 // --- Tile fragment op (v6) ------------------------------------------------
 //
 // The by-tile sharding seam (tile/tile_plan.h): a tile request names one
@@ -231,14 +226,7 @@ inline constexpr int kMaxWireTileGridSide = 1024;
 
 /// A decoded (or to-be-encoded) tile fragment request: a plain request
 /// plus the tile grid shape and the row-major tile id to compute.
-struct WireTileRequest {
-  Metric metric = Metric::kLInf;
-  uint64_t set_hash = 0;
-  bool inline_circles = false;
-  std::vector<NnCircle> circles;
-  Rect domain;
-  int width = 0;
-  int height = 0;
+struct WireTileRequest : WireRequest {
   int tile_rows = 1;
   int tile_cols = 1;
   int tile_id = 0;
@@ -262,10 +250,6 @@ bool IsTileRequest(std::span<const uint8_t> bytes);
 /// per side and `tile_id` must lie inside it.
 std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
                                                  std::string* error);
-
-/// Status-returning form, mirroring the DecodeRequest overload.
-std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
-                                                 Status* status);
 
 // --- Stats op (v3) --------------------------------------------------------
 //
@@ -321,7 +305,7 @@ bool WriteFrame(std::FILE* out, std::span<const uint8_t> payload);
 std::optional<std::vector<uint8_t>> ReadFrame(std::FILE* in,
                                               std::string* error);
 
-/// Counters of one ServeWireStream run.
+/// Serve counters of one WireServer (serve/wire_server.h).
 struct WireServeStats {
   uint64_t requests = 0;        ///< frames answered (ok or error status)
   uint64_t ok = 0;              ///< responses with status kOk
@@ -333,17 +317,6 @@ struct WireServeStats {
   uint64_t tile_requests = 0;   ///< tile fragment requests answered
   uint64_t tile_fragments = 0;  ///< ... of which kOk with a fragment
 };
-
-/// The hash a router partitions a request frame by, without a full
-/// decode: checks the magic/version and reads the set_hash field at its
-/// fixed header offset. nullopt when the payload is too short or is not a
-/// request frame (stats requests and garbage alike) — the caller decides
-/// whether to fan out or answer an error itself. Delta requests peek
-/// their *base* hash (it sits at the same header offset), so a router
-/// using this alone already sends a delta to the shard that saw the base;
-/// PeekRouteInfo additionally exposes the derived hash for affinity
-/// tracking.
-std::optional<uint64_t> PeekRequestSetHash(std::span<const uint8_t> bytes);
 
 /// What a router learns from a frame header without a full decode.
 struct WireRouteInfo {
@@ -362,30 +335,12 @@ struct WireRouteInfo {
   uint32_t tile_id = 0;
 };
 
-/// Routing peek covering plain, delta, and tile request frames; nullopt
-/// for anything else (stats requests, garbage, short payloads).
+/// The routing peek: checks the magic and version of a plain, delta or
+/// tile request frame and reads its route fields at their header rows,
+/// without a full decode. nullopt for anything else (stats requests,
+/// garbage, short payloads) — the caller decides whether to fan out or
+/// answer an error itself.
 std::optional<WireRouteInfo> PeekRouteInfo(std::span<const uint8_t> bytes);
-
-/// The serve loop: reads request frames from `in` until EOF, executes
-/// each against `engine` (inline sets register into engine.registry();
-/// by-reference hashes resolve there), and writes one response frame per
-/// request to `out`, in order. Malformed payloads and unknown hashes
-/// produce error-status responses and the stream continues; only a
-/// truncated frame or an I/O failure stops the loop and returns false
-/// (with `*error` set). Grids served for identical circle sets and
-/// geometry are bit-identical to a direct Execute on the same engine.
-/// Inline sets stay registered for the stream's lifetime (later
-/// by-reference requests depend on them); a long-lived server accepting
-/// unboundedly many *distinct* sets needs an eviction policy above this
-/// loop — see the ROADMAP.
-///
-/// This FILE* entry point is a thin shim over serve/wire_server.h's
-/// WireServer (where it is also defined): the transport-agnostic server
-/// serves any ByteSource/ByteSink pair, and the socket event loop feeds
-/// the same per-frame handler.
-bool ServeWireStream(std::FILE* in, std::FILE* out, HeatmapEngine& engine,
-                     WireServeStats* stats = nullptr,
-                     std::string* error = nullptr);
 
 }  // namespace rnnhm
 

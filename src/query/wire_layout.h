@@ -1,21 +1,23 @@
 // The wire protocol's layout, as data.
 //
-// Every frame the v2–v7 codecs exchange is a hand-packed little-endian
-// byte layout whose encoder, decoder, and routing peeks (PeekRouteInfo
-// reads `set_hash` at a fixed offset without decoding) must agree on the
-// same offsets. This header is the single declarative source of truth:
-// one WireField table per frame header, plus the per-version size
-// history. Three independent checkers consume it:
+// Every frame the codec exchanges is a hand-packed little-endian byte
+// layout. This header is its single source: one WireField table per frame
+// header plus the circle record, and the per-version size history. The
+// codec (src/query/wire.cc) reads and writes every header field at the
+// offset and size of its row, looked up by name at compile time
+// (FieldOf), so the codec and the tables agree by construction; the
+// routing peek (PeekRouteInfo) reads its hash and tile rows the same way.
 //
-//   1. static_asserts (in src/query/wire.cc): each table is contiguous,
-//      starts at offset 0, sums to the declared header size, and its
-//      named offsets match the constants the codec actually reads;
-//   2. tests/wire_layout_test.cc: encoders produce frames whose bytes
-//      land where the tables say, for every version in the history;
+// What checks the tables themselves:
+//   1. static_asserts below: each table is gap-free from offset 0, and
+//      the tile and delta tables repeat the request prefix row for row
+//      (wire.cc adds: the last history row is the live version's sizes);
+//   2. tests/wire_layout_test.cc: a literal copy of every current row and
+//      one golden byte string per frame kind. The codec follows the
+//      tables, so only a literal copy catches a swapped or resized row;
 //   3. tools/check_wire_layout.py: parses these tables *textually* and
-//      cross-checks them against the Put* call sequences in wire.cc —
-//      catching the case where code and tables are edited together but
-//      wrongly.
+//      checks their shape, the frame magics in wire.cc, that the peek
+//      reads its fields by name, and that the history is append-only.
 //
 // The `// wire-layout:` marker lines are load-bearing: the Python linter
 // keys on them. Keep each table row in the `{"name", offset, size},`
@@ -25,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace rnnhm::wire_layout {
 
@@ -35,21 +38,61 @@ struct WireField {
   std::size_t size;
 };
 
-// --- Declared sizes (bytes) -----------------------------------------------
+/// True when the table starts at offset 0 and every field begins exactly
+/// where the previous one ends — no gap, no overlap, no reordering.
+template <std::size_t N>
+constexpr bool Contiguous(const WireField (&fields)[N]) {
+  std::size_t expected = 0;
+  for (const WireField& f : fields) {
+    if (f.offset != expected) return false;
+    expected = f.offset + f.size;
+  }
+  return true;
+}
 
-inline constexpr std::size_t kCircleBytes = 28;
-inline constexpr std::size_t kRequestHeaderBytes = 68;
-inline constexpr std::size_t kResponseHeaderBytes = 16;
-inline constexpr std::size_t kRequestSetHashOffset = 52;
-inline constexpr std::size_t kDeltaNewHashOffset = 60;
-inline constexpr std::size_t kDeltaHeaderBytes = 76;
-inline constexpr std::size_t kTileIdOffset = 76;
-inline constexpr std::size_t kTileHeaderBytes = 80;
-inline constexpr std::size_t kStatsRequestBytes = 12;
-inline constexpr std::size_t kStatsResponseBytes = 92;
-/// Trailing per-request stats in a success response: 6 CrestStats +
-/// 5 CrestL2Stats + 6 SweepCacheStats counters, u64 each.
-inline constexpr std::size_t kResponseStatsWords = 17;
+/// One past the last byte the table describes.
+template <std::size_t N>
+constexpr std::size_t TotalBytes(const WireField (&fields)[N]) {
+  return fields[N - 1].offset + fields[N - 1].size;
+}
+
+constexpr bool SameName(const char* a, const char* b) {
+  // constexpr strcmp: <cstring> is not constexpr-guaranteed.
+  while (*a != '\0' && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return *a == *b;
+}
+
+/// The row named `name`. An absent name throws, which is a compile error
+/// wherever the lookup is a constant expression — so a renamed field
+/// breaks the build of every codec line that names it.
+template <std::size_t N>
+constexpr WireField FieldOf(const WireField (&fields)[N], const char* name) {
+  for (const WireField& f : fields) {
+    if (SameName(f.name, name)) return f;
+  }
+  throw "no such wire field";
+}
+
+/// True when `fields` repeats the first `count` rows of `prefix` exactly,
+/// except that `renamed` (if any) may carry another name.
+template <std::size_t N, std::size_t M>
+constexpr bool RepeatsRows(const WireField (&fields)[N],
+                           const WireField (&prefix)[M], std::size_t count,
+                           const char* renamed = "") {
+  if (count > N || count > M) return false;
+  for (std::size_t i = 0; i < count; ++i) {
+    const WireField& a = fields[i];
+    const WireField& b = prefix[i];
+    if (a.offset != b.offset || a.size != b.size) return false;
+    if (!SameName(a.name, b.name) && !SameName(b.name, renamed)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // --- Frame header layouts -------------------------------------------------
 // A request's circle payload (count * kCircleBytes) follows its header; a
@@ -158,12 +201,46 @@ inline constexpr WireField kCircleLayout[] = {
     {"client", 24, 4},
 };
 
+static_assert(Contiguous(kRequestLayout) && Contiguous(kResponseLayout) &&
+              Contiguous(kDeltaLayout) && Contiguous(kTileLayout) &&
+              Contiguous(kStatsRequestLayout) &&
+              Contiguous(kStatsResponseLayout) && Contiguous(kCircleLayout));
+// The request prefix (magic through the set_hash slot) is shared: the
+// codec reads and writes it once, from the request rows, for all three
+// frame kinds, and a tile header holds the whole request header.
+static_assert(RepeatsRows(kDeltaLayout, kRequestLayout,
+                          std::size(kRequestLayout) - 1, "set_hash"));
+static_assert(RepeatsRows(kTileLayout, kRequestLayout,
+                          std::size(kRequestLayout)));
+
+// --- Sizes (bytes) --------------------------------------------------------
+
+inline constexpr std::size_t kCircleBytes = TotalBytes(kCircleLayout);
+inline constexpr std::size_t kRequestHeaderBytes = TotalBytes(kRequestLayout);
+inline constexpr std::size_t kResponseHeaderBytes =
+    TotalBytes(kResponseLayout);
+inline constexpr std::size_t kDeltaHeaderBytes = TotalBytes(kDeltaLayout);
+inline constexpr std::size_t kTileHeaderBytes = TotalBytes(kTileLayout);
+inline constexpr std::size_t kStatsRequestBytes =
+    TotalBytes(kStatsRequestLayout);
+inline constexpr std::size_t kStatsResponseBytes =
+    TotalBytes(kStatsResponseLayout);
+/// Trailing per-request stats in a success response: 6 CrestStats +
+/// 5 CrestL2Stats + 6 SweepCacheStats counters, u64 each.
+inline constexpr std::size_t kResponseStatsWords = 17;
+
 // --- Version history ------------------------------------------------------
 
 /// Frame sizes as published by each wire version; 0 = the frame kind did
 /// not exist yet. History is append-only: a released version's row never
 /// changes (that would be a silent protocol break), a layout change adds
 /// a row and bumps kWireVersion.
+///
+/// The rows before the last are documentation only: decoders accept
+/// exactly kWireVersion (a fleet is deployed in lockstep), so no build
+/// decodes a v2–v6 frame. The one older format still read is the grid
+/// blob inside a response: DecodeHeatmap accepts RNHM version 1 as well as
+/// the version 2 that v7 carries.
 struct WireVersionInfo {
   std::uint32_t version;
   std::size_t request_header_bytes;
@@ -183,44 +260,6 @@ inline constexpr WireVersionInfo kWireVersionHistory[] = {
     {6, 68, 16, 12, 92, 76, 80},  // + tile fan-out, routing counters (10)
     {7, 68, 16, 12, 92, 76, 80},  // grid payload RNHM v2 (u16 counts)
 };
-
-// --- Compile-time checkers ------------------------------------------------
-
-/// True when the table starts at offset 0 and every field begins exactly
-/// where the previous one ends — no gap, no overlap, no reordering.
-template <std::size_t N>
-constexpr bool Contiguous(const WireField (&fields)[N]) {
-  std::size_t expected = 0;
-  for (const WireField& f : fields) {
-    if (f.offset != expected) return false;
-    expected = f.offset + f.size;
-  }
-  return true;
-}
-
-/// One past the last byte the table describes.
-template <std::size_t N>
-constexpr std::size_t TotalBytes(const WireField (&fields)[N]) {
-  return fields[N - 1].offset + fields[N - 1].size;
-}
-
-/// Offset of the named field; compile error (via out-of-range) when the
-/// name is absent, so a renamed field breaks the asserts that peek it.
-template <std::size_t N>
-constexpr std::size_t OffsetOf(const WireField (&fields)[N],
-                               const char* name) {
-  for (const WireField& f : fields) {
-    // constexpr strcmp: <cstring> is not constexpr-guaranteed.
-    const char* a = f.name;
-    const char* b = name;
-    while (*a != '\0' && *a == *b) {
-      ++a;
-      ++b;
-    }
-    if (*a == *b) return f.offset;
-  }
-  return static_cast<std::size_t>(-1);  // poison: trips the caller's assert
-}
 
 }  // namespace rnnhm::wire_layout
 

@@ -368,8 +368,7 @@ void ShardRouter::RouteFrame(Client& client,
   // plain ones.
   if (options_.route_by_tile && !route->is_delta && !route->is_tile) {
     std::string decode_error;
-    const std::optional<WireRequest> request =
-        DecodeRequest(frame, &decode_error);
+    std::optional<WireRequest> request = DecodeRequest(frame, &decode_error);
     if (!request.has_value()) {
       slot.ready = true;
       slot.payload =
@@ -397,18 +396,9 @@ void ShardRouter::RouteFrame(Client& client,
     slot.tile_grid.emplace(request->width, request->height, request->domain,
                            0.0);
     int fanned = 0;
+    WireTileRequest sub{std::move(*request), tile_rows, tile_cols, 0};
     for (int tile_id = 0; tile_id < tile_rows * tile_cols; ++tile_id) {
       if (slot.tile_windows[tile_id].empty()) continue;
-      WireTileRequest sub;
-      sub.metric = request->metric;
-      sub.set_hash = request->set_hash;
-      sub.inline_circles = request->inline_circles;
-      sub.circles = request->circles;
-      sub.domain = request->domain;
-      sub.width = request->width;
-      sub.height = request->height;
-      sub.tile_rows = tile_rows;
-      sub.tile_cols = tile_cols;
       sub.tile_id = tile_id;
       const size_t shard_index = tile_id % shards_.size();
       Shard& shard = *shards_[shard_index];

@@ -2,12 +2,9 @@
 //
 // WireServer owns the request semantics of the wire protocol — decode,
 // registry interaction, engine execution, stats — with zero knowledge of
-// where bytes come from. Three transports drive it:
+// where bytes come from. Two transports drive it:
 //   * ServeStream(ByteSource, ByteSink) — the blocking loop (stdio,
 //     files, in-memory tests);
-//   * ServeWireStream(FILE*, ...) — the legacy entry point, kept as a
-//     thin shim over ServeStream (declared in query/wire.h so existing
-//     callers compile unchanged);
 //   * EventLoopServer (serve/event_loop.h) — the nonblocking socket
 //     server, which reassembles frames itself (serve/frame_buffer.h) and
 //     calls HandleFrame per complete frame.
@@ -20,6 +17,7 @@
 #define RNNHM_SERVE_WIRE_SERVER_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,8 +48,8 @@ class WireServer {
   /// this frame performs (inline registers and delta derivations), so a
   /// transport that owns the scope — EventLoopServer keeps one per
   /// connection — releases them on disconnect. With a null scope the
-  /// registrations persist for the engine's lifetime (the legacy stream
-  /// behavior: later by-reference requests depend on them).
+  /// registrations persist for the engine's lifetime (what ServeStream
+  /// does: later by-reference requests on the stream depend on them).
   std::vector<uint8_t> HandleFrame(std::span<const uint8_t> frame,
                                    RegistrationScope* scope = nullptr);
 
@@ -65,6 +63,17 @@ class WireServer {
   const WireServeStats& stats() const { return stats_; }
 
  private:
+  // Finds the circle set a plain or tile request names — registering an
+  // inline payload (tracked by `scope`) or looking up a by-reference hash —
+  // and refuses an unknown set, a 64-bit hash collision, or a metric that
+  // disagrees with the registered set.
+  Status ResolveSet(WireRequest& request, RegistrationScope* scope,
+                    CircleSetHandle* handle);
+
+  // Derives the delta's set from its registered base and serves its map.
+  Status ServeDelta(const WireDeltaRequest& request, RegistrationScope* scope,
+                    std::optional<PackedHeatmapResponse>* response);
+
   HeatmapEngine& engine_;
   WireServeStats stats_;
 };

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +38,9 @@
 #include "query/heatmap_engine.h"
 #include "query/heatmap_session.h"
 #include "query/wire.h"
+#include "serve/byte_stream.h"
+#include "serve/frame_buffer.h"
+#include "serve/wire_server.h"
 
 namespace rnnhm {
 namespace {
@@ -453,27 +457,28 @@ TEST(ServingV2DifferentialTest, InlineHandleAndWirePathsAgree) {
 
       // Wire round-trip: encode -> serve loop (its own engine) -> decode.
       const auto set = CircleSetSnapshot::Make(circles, metric);
-      std::FILE* in = std::tmpfile();
-      std::FILE* out = std::tmpfile();
-      ASSERT_NE(in, nullptr);
-      ASSERT_NE(out, nullptr);
-      ASSERT_TRUE(WriteFrame(
-          in, EncodeRequest(MakeWireRequest(*set, kDomain, kRaster, kRaster,
-                                            /*include_circles=*/true))));
-      std::rewind(in);
-      HeatmapEngine server(measure, plain_options);
+      const std::vector<uint8_t> frame_payload =
+          EncodeRequest(MakeWireRequest(*set, kDomain, kRaster, kRaster,
+                                        /*include_circles=*/true));
+      std::vector<uint8_t> input(4);
+      for (int i = 0; i < 4; ++i) {
+        input[i] = static_cast<uint8_t>(frame_payload.size() >> (8 * i));
+      }
+      input.insert(input.end(), frame_payload.begin(), frame_payload.end());
+      HeatmapEngine engine_behind_wire(measure, plain_options);
+      WireServer server(engine_behind_wire);
+      MemoryByteSource source(std::move(input));
+      MemoryByteSink sink;
+      ASSERT_TRUE(server.ServeStream(source, sink).ok());
+      FrameAssembler assembler(kMaxFramePayloadBytes);
+      assembler.Feed(sink.bytes());
+      const auto frame = assembler.Next();
+      ASSERT_TRUE(frame.has_value());
       std::string error;
-      ASSERT_TRUE(ServeWireStream(in, out, server, nullptr, &error))
-          << error;
-      std::rewind(out);
-      const auto frame = ReadFrame(out, &error);
-      ASSERT_TRUE(frame.has_value()) << error;
       const auto wire_response = DecodeResponse(*frame, &error);
       ASSERT_TRUE(wire_response.has_value()) << error;
       ASSERT_EQ(wire_response->status, WireStatus::kOk)
           << wire_response->error;
-      std::fclose(in);
-      std::fclose(out);
 
       const std::vector<double>& reference = inline_response.grid.values();
       EXPECT_EQ(handle_response.grid.values(), reference)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -485,6 +486,39 @@ TEST(ShardRouterTest, ByTileKilledShardYieldsOneErrorNotAPartialGrid) {
   ASSERT_TRUE(decoded.has_value()) << error;
   EXPECT_NE(decoded->status, WireStatus::kOk);
   EXPECT_FALSE(decoded->response.has_value());
+
+  ::close(fd);
+  EXPECT_TRUE(harness.Stop().ok());
+}
+
+TEST(ShardRouterTest, ByTileOversizedRasterIsRefusedAndTheConnectionServesOn) {
+  // A by-tile router allocates the stitched grid itself before any shard
+  // sees the frame, so the pixel ceiling must hold at decode: a
+  // well-formed request whose raster could never be allocated gets
+  // kMalformedRequest, and the same connection keeps serving.
+  RouterHarness harness;
+  ASSERT_TRUE(
+      harness.Start(/*num_shards=*/2, /*worker_slabs=*/1, 2, 2).ok());
+  int fd = -1;
+  ASSERT_TRUE(harness.Connect(&fd).ok());
+
+  const auto set =
+      CircleSetSnapshot::Make(MakeCircles(800, 16), Metric::kLInf);
+  WireRequest oversized =
+      MakeWireRequest(*set, kDomain, 1, 1, /*include_circles=*/false);
+  oversized.width = std::numeric_limits<int32_t>::max();
+  oversized.height = std::numeric_limits<int32_t>::max();
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(RoundTrip(fd, EncodeRequest(oversized), &reply).ok());
+  std::string error;
+  const auto decoded = DecodeResponse(reply, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->status, WireStatus::kMalformedRequest);
+
+  const HeatmapGrid routed = RoutedGrid(
+      fd, MakeWireRequest(*set, kDomain, 16, 16, /*include_circles=*/true));
+  EXPECT_EQ(routed.width(), 16);
+  EXPECT_EQ(routed.height(), 16);
 
   ::close(fd);
   EXPECT_TRUE(harness.Stop().ok());

@@ -16,6 +16,8 @@
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
 #include "query/wire_layout.h"
+#include "serve/byte_stream.h"
+#include "serve/frame_buffer.h"
 #include "serve/wire_server.h"
 #include "tile/tile_plan.h"
 
@@ -364,46 +366,69 @@ TEST(WireFrameTest, OversizedLengthPrefixIsRejected) {
 
 // --- The serve loop -------------------------------------------------------
 
-TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
-  const auto set = CircleSetSnapshot::Make(MakeCircles(9, 35), Metric::kL2);
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
-  // Frame 1 ships the set inline; frames 2-3 reference it by hash at
-  // other resolutions.
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*set, kDomain, 20, 20, true))));
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*set, kDomain, 28, 28, false))));
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*set, kDomain, 20, 20, false))));
-  std::rewind(in);
+// Serves `requests` through WireServer::ServeStream over in-memory streams
+// (the loop behind `rnnhm_cli serve`) and returns the response payloads in
+// order; `*stats` receives the server's counters.
+std::vector<std::vector<uint8_t>> ServeFrames(
+    HeatmapEngine& engine, const std::vector<std::vector<uint8_t>>& requests,
+    WireServeStats* stats = nullptr) {
+  std::vector<uint8_t> input;
+  for (const std::vector<uint8_t>& payload : requests) {
+    const uint32_t length = static_cast<uint32_t>(payload.size());
+    for (int i = 0; i < 4; ++i) {
+      input.push_back(static_cast<uint8_t>(length >> (8 * i)));
+    }
+    input.insert(input.end(), payload.begin(), payload.end());
+  }
+  WireServer server(engine);
+  MemoryByteSource source(std::move(input));
+  MemoryByteSink sink;
+  const Status status = server.ServeStream(source, sink);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (stats != nullptr) *stats = server.stats();
+  FrameAssembler assembler(kMaxFramePayloadBytes);
+  assembler.Feed(sink.bytes());
+  std::vector<std::vector<uint8_t>> replies;
+  while (std::optional<std::vector<uint8_t>> frame = assembler.Next()) {
+    replies.push_back(std::move(*frame));
+  }
+  EXPECT_FALSE(assembler.mid_frame());
+  return replies;
+}
 
+TEST(ServeStreamTest, ServesInlineAndByReferenceBitIdentically) {
+  const auto set = CircleSetSnapshot::Make(MakeCircles(9, 35), Metric::kL2);
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   options.cache_bytes = 8 << 20;
   HeatmapEngine engine(measure, options);
   WireServeStats stats;
-  std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
+  // Frame 1 ships the set inline; frames 2-3 reference it by hash at
+  // other resolutions.
+  const auto replies = ServeFrames(
+      engine,
+      {EncodeRequest(MakeWireRequest(*set, kDomain, 20, 20, true)),
+       EncodeRequest(MakeWireRequest(*set, kDomain, 28, 28, false)),
+       EncodeRequest(MakeWireRequest(*set, kDomain, 20, 20, false))},
+      &stats);
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 3u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.sets_registered, 1u);
 
-  std::rewind(out);
   // Reference responses from an identical, separately configured engine.
   SizeInfluence reference_measure;
   HeatmapEngine reference(reference_measure, options);
   const CircleSetHandle handle =
       reference.registry().Register(set->circles(), set->metric());
   const int sizes[3] = {20, 28, 20};
+  // The third request repeats the first: it must have come from the
+  // serve engine's cache, still bit-identical.
+  ASSERT_EQ(replies.size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    const auto frame = ReadFrame(out, &error);
-    ASSERT_TRUE(frame.has_value()) << error;
-    const auto decoded = DecodeResponse(*frame, &error);
+    std::string error;
+    const auto decoded = DecodeResponse(replies[i], &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
     const HeatmapResponse direct = reference.Execute(
@@ -411,81 +436,58 @@ TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
     EXPECT_EQ(decoded->response->grid.values(), direct.grid.values())
         << "request " << i;
   }
-  // The third request repeats the first: it must have come from the
-  // serve engine's cache, still bit-identical.
-  EXPECT_FALSE(ReadFrame(out, &error).has_value());
-  std::fclose(in);
-  std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
-  // Frame 1: garbage payload. Frame 2: well-formed by-reference request
-  // whose hash was never shipped. Frame 3: a valid request — the stream
-  // must keep serving after errors.
-  ASSERT_TRUE(WriteFrame(in, std::vector<uint8_t>{0xDE, 0xAD, 0xBE, 0xEF}));
+TEST(ServeStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
   const auto set =
       CircleSetSnapshot::Make(MakeCircles(10, 12), Metric::kLInf);
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*set, kDomain, 16, 16, false))));
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*set, kDomain, 16, 16, true))));
-  std::rewind(in);
-
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
   WireServeStats stats;
-  std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
+  // Frame 1: garbage payload. Frame 2: well-formed by-reference request
+  // whose hash was never shipped. Frame 3: a valid request — the stream
+  // must keep serving after errors.
+  const auto replies = ServeFrames(
+      engine,
+      {std::vector<uint8_t>{0xDE, 0xAD, 0xBE, 0xEF},
+       EncodeRequest(MakeWireRequest(*set, kDomain, 16, 16, false)),
+       EncodeRequest(MakeWireRequest(*set, kDomain, 16, 16, true))},
+      &stats);
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 1u);
   EXPECT_EQ(stats.errors, 2u);
 
-  std::rewind(out);
   const WireStatus expected[3] = {WireStatus::kMalformedRequest,
                                   WireStatus::kUnknownCircleSet,
                                   WireStatus::kOk};
+  ASSERT_EQ(replies.size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    const auto frame = ReadFrame(out, &error);
-    ASSERT_TRUE(frame.has_value()) << error;
-    const auto decoded = DecodeResponse(*frame, &error);
+    std::string error;
+    const auto decoded = DecodeResponse(replies[i], &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     EXPECT_EQ(decoded->status, expected[i]) << "frame " << i;
   }
-  std::fclose(in);
-  std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, OversizedRasterIsRefusedPolitely) {
+TEST(ServeStreamTest, OversizedRasterIsRefusedPolitely) {
   const auto set = CircleSetSnapshot::Make(MakeCircles(11, 5), Metric::kL2);
   WireRequest request = MakeWireRequest(*set, kDomain, 1, 1, true);
   request.width = 1 << 15;
   request.height = 1 << 15;  // 2^30 pixels > kMaxWirePixels
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
-  ASSERT_TRUE(WriteFrame(in, EncodeRequest(request)));
-  std::rewind(in);
+  std::string error;
+  EXPECT_FALSE(DecodeRequest(EncodeRequest(request), &error).has_value());
+  EXPECT_EQ(error, "raster exceeds the pixel ceiling");
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
-  std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, nullptr, &error)) << error;
-  std::rewind(out);
-  const auto frame = ReadFrame(out, &error);
-  ASSERT_TRUE(frame.has_value()) << error;
-  const auto decoded = DecodeResponse(*frame, &error);
+  const auto replies = ServeFrames(engine, {EncodeRequest(request)});
+  ASSERT_EQ(replies.size(), 1u);
+  const auto decoded = DecodeResponse(replies[0], &error);
   ASSERT_TRUE(decoded.has_value()) << error;
   EXPECT_EQ(decoded->status, WireStatus::kMalformedRequest);
-  std::fclose(in);
-  std::fclose(out);
 }
 
 // --- v3 additions: stats op, status mapping, routing peek -----------------
@@ -588,36 +590,6 @@ TEST(WireStatusMappingTest, ExitCodesAreDistinctPerStatusCode) {
     for (const int seen : codes) EXPECT_NE(exit_code, seen);
     codes.push_back(exit_code);
   }
-}
-
-TEST(WireDecodeStatusTest, StatusOverloadsMirrorTheStringForms) {
-  const WireRequest request = InlineRequest(22, 6, Metric::kL1);
-  Status status;
-  EXPECT_TRUE(DecodeRequest(EncodeRequest(request), &status).has_value());
-  EXPECT_TRUE(status.ok());
-  std::vector<uint8_t> bytes = EncodeRequest(request);
-  bytes[0] ^= 1;
-  EXPECT_FALSE(DecodeRequest(bytes, &status).has_value());
-  EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
-  EXPECT_FALSE(status.message.empty());
-}
-
-TEST(PeekRequestSetHashTest, ReadsTheHashWithoutDecoding) {
-  const auto set = CircleSetSnapshot::Make(MakeCircles(23, 12), Metric::kL2);
-  for (const bool inline_circles : {true, false}) {
-    const std::vector<uint8_t> bytes = EncodeRequest(
-        MakeWireRequest(*set, kDomain, 16, 16, inline_circles));
-    const auto hash = PeekRequestSetHash(bytes);
-    ASSERT_TRUE(hash.has_value());
-    EXPECT_EQ(*hash, set->content_hash());
-  }
-}
-
-TEST(PeekRequestSetHashTest, RejectsNonRequestPayloads) {
-  EXPECT_FALSE(PeekRequestSetHash(EncodeStatsRequest()).has_value());
-  EXPECT_FALSE(PeekRequestSetHash({}).has_value());
-  const std::vector<uint8_t> garbage(80, 0xAB);
-  EXPECT_FALSE(PeekRequestSetHash(garbage).has_value());
 }
 
 // --- v4 additions: delta op, routing peek, scoped registration ------------
@@ -903,7 +875,7 @@ TEST(PeekRouteInfoTest, TileRequestRoutesBySetHashAndExposesTheTile) {
   }
 }
 
-TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
+TEST(ServeStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   // All six tiles of a 2x3 decomposition served as wire frames, stitched
   // client-side — the reassembled raster must equal a direct Execute, and
   // the serve counters must attribute every frame to the tile op.
@@ -911,39 +883,32 @@ TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   const int size = 27;
   constexpr int kRows = 2;
   constexpr int kCols = 3;
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
+  std::vector<std::vector<uint8_t>> requests;
   for (int t = 0; t < kRows * kCols; ++t) {
-    ASSERT_TRUE(WriteFrame(
-        in, EncodeTileRequest(MakeWireTileRequest(
-                *set, kDomain, size, size, /*include_circles=*/t == 0, kRows,
-                kCols, t))));
+    requests.push_back(EncodeTileRequest(MakeWireTileRequest(
+        *set, kDomain, size, size, /*include_circles=*/t == 0, kRows, kCols,
+        t)));
   }
-  std::rewind(in);
 
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
   WireServeStats stats;
-  std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
+  const auto replies = ServeFrames(engine, requests, &stats);
   EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.tile_requests, 6u);
   EXPECT_EQ(stats.tile_fragments, 6u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.sets_registered, 1u);
 
-  std::rewind(out);
   const std::vector<TileWindow> windows =
       TileWindows(kDomain, size, size, kRows, kCols);
   HeatmapGrid stitched(size, size, kDomain, 0.0);
+  ASSERT_EQ(replies.size(), windows.size());
   for (int t = 0; t < kRows * kCols; ++t) {
-    const auto frame = ReadFrame(out, &error);
-    ASSERT_TRUE(frame.has_value()) << error;
-    const auto decoded = DecodeResponse(*frame, &error);
+    std::string error;
+    const auto decoded = DecodeResponse(replies[t], &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
     ASSERT_EQ(decoded->response->grid.width(), windows[t].width());
@@ -957,11 +922,9 @@ TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   const HeatmapResponse direct =
       reference.Execute(HeatmapRequestV2{handle, kDomain, size, size});
   EXPECT_EQ(stitched.values(), direct.grid.values());
-  std::fclose(in);
-  std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
+TEST(ServeStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
   const Metric metric = Metric::kLInf;
   const int size = 20;
   const std::vector<NnCircle> base = MakeCircles(45, 24);
@@ -980,31 +943,21 @@ TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
   std::vector<NnCircle> tick2 = tick1;
   ApplyEditsLocally(tick2, edits2);
 
-  std::FILE* in = std::tmpfile();
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(in, nullptr);
-  ASSERT_NE(out, nullptr);
   const auto base_set = CircleSetSnapshot::Make(base, metric);
-  ASSERT_TRUE(WriteFrame(
-      in, EncodeRequest(MakeWireRequest(*base_set, kDomain, size, size,
-                                        /*include_circles=*/true))));
-  ASSERT_TRUE(
-      WriteFrame(in, EncodeDeltaRequest(MakeDelta(base, edits1, metric,
-                                                  size))));
-  ASSERT_TRUE(
-      WriteFrame(in, EncodeDeltaRequest(MakeDelta(tick1, edits2, metric,
-                                                  size))));
-  ASSERT_TRUE(WriteFrame(in, EncodeStatsRequest()));
-  std::rewind(in);
-
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   options.cache_bytes = 8 << 20;  // the base raster must be spliceable
   HeatmapEngine engine(measure, options);
   WireServeStats stats;
-  std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
+  const auto replies = ServeFrames(
+      engine,
+      {EncodeRequest(MakeWireRequest(*base_set, kDomain, size, size,
+                                     /*include_circles=*/true)),
+       EncodeDeltaRequest(MakeDelta(base, edits1, metric, size)),
+       EncodeDeltaRequest(MakeDelta(tick1, edits2, metric, size)),
+       EncodeStatsRequest()},
+      &stats);
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.ok, 4u);
   EXPECT_EQ(stats.errors, 0u);
@@ -1016,14 +969,13 @@ TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
   EXPECT_LT(stats.delta_dirty_columns,
             static_cast<uint64_t>(size) * stats.delta_splices);
 
-  std::rewind(out);
   SizeInfluence reference_measure;
   HeatmapEngine reference(reference_measure, options);
   const std::vector<NnCircle>* ticks[3] = {&base, &tick1, &tick2};
+  ASSERT_EQ(replies.size(), 4u);
+  std::string error;
   for (int i = 0; i < 3; ++i) {
-    const auto frame = ReadFrame(out, &error);
-    ASSERT_TRUE(frame.has_value()) << error;
-    const auto decoded = DecodeResponse(*frame, &error);
+    const auto decoded = DecodeResponse(replies[i], &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
     // The from-scratch reference: a cold Execute over the tick's circles.
@@ -1032,17 +984,13 @@ TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
     EXPECT_EQ(decoded->response->grid.values(), direct.grid.values())
         << "tick " << i;
   }
-  const auto stats_frame = ReadFrame(out, &error);
-  ASSERT_TRUE(stats_frame.has_value()) << error;
-  const auto stats_reply = DecodeStatsResponse(*stats_frame, &error);
+  const auto stats_reply = DecodeStatsResponse(replies[3], &error);
   ASSERT_TRUE(stats_reply.has_value()) << error;
   EXPECT_EQ(stats_reply->shards, 1u);
   EXPECT_EQ(stats_reply->deltas, 2u);
   EXPECT_EQ(stats_reply->delta_splices, 2u);
   EXPECT_EQ(stats_reply->sets_evicted, 0u);
   EXPECT_EQ(stats_reply->delta_dirty_columns, stats.delta_dirty_columns);
-  std::fclose(in);
-  std::fclose(out);
 }
 
 TEST(WireServerTest, DeltaFromUnknownBaseIsRefused) {
@@ -1287,6 +1235,35 @@ TEST(WireIngressTest, NonFiniteDomainIsRefused) {
     EXPECT_FALSE(DecodeRequest(EncodeRequest(request), &error).has_value());
     EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
   }
+}
+
+TEST(WireIngressTest, EveryRequestDecoderEnforcesThePixelCeiling) {
+  // The ceiling lives in the shared prefix validator, so plain, tile and
+  // delta frames all refuse a raster over kMaxWirePixels at decode.
+  const int side = std::numeric_limits<int32_t>::max();
+  const auto set = CircleSetSnapshot::Make(MakeCircles(64, 4), Metric::kL1);
+  std::string error;
+  const WireRequest plain = MakeWireRequest(*set, kDomain, side, side, true);
+  EXPECT_FALSE(DecodeRequest(EncodeRequest(plain), &error).has_value());
+  EXPECT_EQ(error, "raster exceeds the pixel ceiling");
+  error.clear();
+  const WireTileRequest tile =
+      MakeWireTileRequest(*set, kDomain, side, side, false, 2, 2, 1);
+  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(tile), &error).has_value());
+  EXPECT_EQ(error, "raster exceeds the pixel ceiling");
+  error.clear();
+  const WireDeltaRequest delta = MakeDelta(set->circles(), {}, Metric::kL1,
+                                           /*size=*/1 << 14);
+  EXPECT_FALSE(
+      DecodeDeltaRequest(EncodeDeltaRequest(delta), &error).has_value());
+  EXPECT_EQ(error, "raster exceeds the pixel ceiling");
+  // The ceiling itself is accepted: 2^13 x 2^13 = kMaxWirePixels.
+  EXPECT_TRUE(
+      DecodeDeltaRequest(EncodeDeltaRequest(MakeDelta(
+                             set->circles(), {}, Metric::kL1, 1 << 13)),
+                         &error)
+          .has_value())
+      << error;
 }
 
 }  // namespace

@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Cross-checks the declared wire layouts against the codec that ships them.
+"""Checks the declared wire layouts and the codec's use of them.
 
 The declarative layout tables live in src/query/wire_layout.h (one
 ``// wire-layout: <frame> bytes=<N> magic=<XXXX>`` marker per table); the
-hand-written encoder/decoder lives in src/query/wire.cc. The C++
-static_asserts already force the codec's *constants* to match the tables,
-but both sides are edited by the same hands — this linter re-derives the
-layouts independently, straight from the text, and fails CI when:
+codec in src/query/wire.cc reads and writes every header field at its
+table row, looked up by name at compile time, so it has no field
+sequence of its own to check. This linter re-reads the tables straight
+from the text and fails CI when:
 
   * a table has a gap, overlap, zero-size field, or wrong declared size;
-  * an encoder's Put* call sequence (PutMagic=4, PutU32=4, push_back=1,
-    PutU16=2, PutI32=4, PutF64=8, PutU64=8) disagrees with its table,
-    field for field;
+  * the delta or tile table stops repeating the request prefix rows;
   * a frame's magic literal in wire.cc differs from the table marker;
-  * the routing-peek offsets (PeekRequestSetHash / PeekRouteInfo) do not
-    line up with the set_hash / new_hash / tile_id table fields;
+  * the routing peek (PeekRouteInfo) stops looking up the set_hash /
+    new_hash / tile_id rows by name, or spells out an offset;
   * the version-history table is not append-only monotonic, misses a
     version, or its last row disagrees with the live kWireVersion sizes.
 
@@ -35,27 +33,20 @@ WIRE_LAYOUT_H = REPO / "src" / "query" / "wire_layout.h"
 WIRE_H = REPO / "src" / "query" / "wire.h"
 WIRE_CC = REPO / "src" / "query" / "wire.cc"
 
-# Bytes appended by each straight-line encoder call.
-CALL_SIZES = {
-    "PutMagic": 4,
-    "PutU16": 2,
-    "PutU32": 4,
-    "PutI32": 4,
-    "PutU64": 8,
-    "PutF64": 8,
-    "push_back": 1,
+# frame name in the table marker -> magic constant in wire.cc.
+FRAMES = {
+    "request": "kRequestMagic",
+    "response": "kResponseMagic",
+    "delta": "kDeltaRequestMagic",
+    "tile": "kTileRequestMagic",
+    "stats_request": "kStatsRequestMagic",
+    "stats_response": "kStatsResponseMagic",
+    "circle": None,  # payload record: no magic
 }
 
-# frame name in the table marker -> (magic constant in wire.cc, encoder).
-FRAMES = {
-    "request": ("kRequestMagic", "EncodeRequest"),
-    "response": ("kResponseMagic", "EncodeResponseHeader"),
-    "delta": ("kDeltaRequestMagic", "EncodeDeltaRequest"),
-    "tile": ("kTileRequestMagic", "EncodeTileRequest"),
-    "stats_request": ("kStatsRequestMagic", "EncodeStatsRequest"),
-    "stats_response": ("kStatsResponseMagic", "EncodeStatsResponse"),
-    "circle": (None, None),  # payload record: no magic, inline encoders
-}
+# The rows PeekRouteInfo must look up by name.
+PEEK_LOOKUPS = ['RequestRow("set_hash")', 'DeltaRow("new_hash")',
+                'TileRow("tile_id")']
 
 
 @dataclasses.dataclass
@@ -131,28 +122,6 @@ def parse_history(layout_text: str) -> list[dict[str, int]]:
     return rows
 
 
-def extract_function(cc_text: str, name: str) -> str:
-    """The body of `name(...)` up to its closing brace (depth matched)."""
-    m = re.search(rf"\b{name}\s*\([^;]*?\)\s*\{{", cc_text)
-    if not m:
-        fail(f"wire.cc: encoder {name} not found")
-    depth, i = 1, m.end()
-    while depth > 0 and i < len(cc_text):
-        depth += {"{": 1, "}": -1}.get(cc_text[i], 0)
-        i += 1
-    return cc_text[m.end() : i - 1]
-
-
-def straight_line_sizes(body: str) -> list[int]:
-    """Sizes of the Put*/push_back calls before the first branch/loop."""
-    branch = re.search(r"\n\s*(if|for|switch|while)\s*\(", body)
-    prefix = body[: branch.start()] if branch else body
-    sizes = []
-    for call in re.finditer(r"\b(PutMagic|PutU16|PutU32|PutI32|PutU64|PutF64|push_back)\s*\(", prefix):
-        sizes.append(CALL_SIZES[call.group(1)])
-    return sizes
-
-
 ERRORS: list[str] = []
 
 
@@ -188,7 +157,7 @@ def check_tables(layouts: dict[str, Layout]) -> None:
 
 
 def check_magics(layouts: dict[str, Layout], cc_text: str) -> None:
-    for frame, (constant, _) in FRAMES.items():
+    for frame, constant in FRAMES.items():
         if constant is None:
             continue
         m = re.search(
@@ -207,92 +176,37 @@ def check_magics(layouts: dict[str, Layout], cc_text: str) -> None:
             )
 
 
-def check_encoders(layouts: dict[str, Layout], cc_text: str) -> None:
-    for frame, (_, encoder) in FRAMES.items():
-        if encoder is None:
-            continue
-        sizes = straight_line_sizes(extract_function(cc_text, encoder))
-        table = layouts[frame]
-        expected = [f.size for f in table.fields]
-        if sizes[: len(expected)] != expected:
-            fail(
-                f"{frame}: {encoder} emits field sizes "
-                f"{sizes[:len(expected)]} but the table declares {expected}"
-            )
-        elif len(sizes) > len(expected) and frame not in ("response",):
-            # Extra straight-line Put* calls past the declared header mean
-            # the table no longer covers the whole fixed prefix. (The
-            # response header is followed by a variable message insert,
-            # never by straight-line Put* calls.)
-            fail(
-                f"{frame}: {encoder} emits {len(sizes)} fixed fields, the "
-                f"table declares only {len(expected)}"
-            )
+def check_prefix_and_peek(layouts: dict[str, Layout], cc_text: str) -> None:
+    request = [(f.name, f.offset, f.size) for f in layouts["request"].fields]
+    delta = [(f.name, f.offset, f.size) for f in layouts["delta"].fields]
+    tile = [(f.name, f.offset, f.size) for f in layouts["tile"].fields]
 
-
-def check_peeks(layouts: dict[str, Layout], layout_text: str,
-                cc_text: str) -> None:
-    request = {f.name: f for f in layouts["request"].fields}
-    delta = {f.name: f for f in layouts["delta"].fields}
-    tile = {f.name: f for f in layouts["tile"].fields}
-
-    def constant(name: str) -> int:
-        m = re.search(
-            rf"constexpr std::size_t {name} = (\d+);", layout_text
-        )
-        if not m:
-            fail(f"wire_layout.h: constant {name} not found")
-            return -1
-        return int(m.group(1))
-
-    pairs = [
-        ("kRequestSetHashOffset", request["set_hash"].offset),
-        ("kDeltaNewHashOffset", delta["new_hash"].offset),
-        ("kTileIdOffset", tile["tile_id"].offset),
-        ("kRequestHeaderBytes", layouts["request"].declared_bytes),
-        ("kResponseHeaderBytes", layouts["response"].declared_bytes),
-        ("kDeltaHeaderBytes", layouts["delta"].declared_bytes),
-        ("kTileHeaderBytes", layouts["tile"].declared_bytes),
-        ("kStatsRequestBytes", layouts["stats_request"].declared_bytes),
-        ("kStatsResponseBytes", layouts["stats_response"].declared_bytes),
-        ("kCircleBytes", layouts["circle"].declared_bytes),
-    ]
-    for name, table_value in pairs:
-        value = constant(name)
-        if value >= 0 and value != table_value:
-            fail(
-                f"wire_layout.h: {name} = {value} but the layout table "
-                f"says {table_value}"
-            )
-
-    # The routing contract: one peek offset serves request, delta (base)
-    # and tile frames alike.
-    if delta["base_hash"].offset != request["set_hash"].offset:
+    # The codec writes one prefix for all three request kinds: a tile
+    # header holds the whole request header, and a delta repeats it up to
+    # the set_hash slot, where its base_hash sits (the routing contract:
+    # one peek offset serves every request kind).
+    slot = next(i for i, row in enumerate(request) if row[0] == "set_hash")
+    if tile[: len(request)] != request:
+        fail("tile table must repeat the request table row for row")
+    if delta[:slot] != request[:slot]:
+        fail("delta table must repeat the request prefix row for row")
+    if delta[slot] != ("base_hash",) + request[slot][1:]:
         fail("delta.base_hash must sit in the request.set_hash slot")
-    if tile["set_hash"].offset != request["set_hash"].offset:
-        fail("tile.set_hash must sit in the request.set_hash slot")
 
-    # And the peek functions must actually read those named constants
-    # (PeekRequestSetHash may instead delegate to PeekRouteInfo).
-    for func, needed in [
-        ("PeekRequestSetHash", [("kRequestSetHashOffset", "PeekRouteInfo")]),
-        (
-            "PeekRouteInfo",
-            [
-                ("kRequestSetHashOffset",),
-                ("kDeltaNewHashOffset",),
-                ("kTileIdOffset",),
-            ],
-        ),
-    ]:
-        body = extract_function(cc_text, func)
-        for alternatives in needed:
-            if not any(name in body for name in alternatives):
-                fail(
-                    f"wire.cc: {func} no longer reads "
-                    f"{' or '.join(alternatives)} — the peek and the "
-                    "layout table can drift apart"
-                )
+    m = re.search(r"PeekRouteInfo\(std::span<const uint8_t> bytes\) \{\n"
+                  r"(.*?)\n\}\n", cc_text, re.S)
+    if not m:
+        fail("wire.cc: PeekRouteInfo not found")
+        return
+    body = m.group(1)
+    for lookup in PEEK_LOOKUPS:
+        if lookup not in body:
+            fail(f"wire.cc: PeekRouteInfo no longer reads {lookup} — the "
+                 "peek and the layout table can drift apart")
+    literal = re.search(r"(?<![\w.])\d+(?![\w.])", body)
+    if literal:
+        fail(f"wire.cc: PeekRouteInfo spells out the number "
+             f"{literal.group(0)} instead of reading a table row")
 
 
 def check_history(layouts: dict[str, Layout], history: list[dict[str, int]],
@@ -358,10 +272,18 @@ def run_checks(layout_text: str, wire_h_text: str, cc_text: str) -> list[str]:
     if not ERRORS or all("table row" not in e for e in ERRORS):
         history = parse_history(layout_text)
         check_magics(layouts, cc_text)
-        check_encoders(layouts, cc_text)
-        check_peeks(layouts, layout_text, cc_text)
+        check_prefix_and_peek(layouts, cc_text)
         check_history(layouts, history, wire_h_text)
     return list(ERRORS)
+
+
+def edit_table(layout_text: str, frame: str, old: str, new: str) -> str:
+    """Applies one replacement inside the `frame` table only."""
+    start = layout_text.index(f"wire-layout: {frame} ")
+    end = layout_text.index("};", start)
+    return (layout_text[:start]
+            + layout_text[start:end].replace(old, new, 1)
+            + layout_text[end:])
 
 
 def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
@@ -389,18 +311,11 @@ def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
              wire_h_text, cc_text),
         ),
         (
-            "swap two encoder fields",
-            (layout_text, wire_h_text,
-             cc_text.replace(
-                 "PutI32(&out, request.width);\n  PutI32(&out, request.height);",
-                 "PutF64(&out, request.domain.lo.x);\n  PutI32(&out, request.width);",
-                 1)),
-        ),
-        (
-            "retype a header field in the encoder",
-            (layout_text, wire_h_text,
-             cc_text.replace("PutU16(&out, 0);  // reserved",
-                             "PutU32(&out, 0);  // reserved", 1)),
+            "swap two rows of the tile prefix",
+            (edit_table(layout_text, "tile",
+                        '{"width", 12, 4},\n    {"height", 16, 4},',
+                        '{"height", 12, 4},\n    {"width", 16, 4},'),
+             wire_h_text, cc_text),
         ),
         (
             "change a frame magic in the codec",
@@ -426,9 +341,15 @@ def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
              cc_text),
         ),
         (
-            "peek function rewritten with hard-coded offsets",
+            "peek stops looking up a row by name",
             (layout_text, wire_h_text,
-             cc_text.replace("kTileIdOffset", "(68 + 8)")),
+             cc_text.replace('TileRow("tile_id")',
+                             'wl::WireField{"tile_id", 76, 4}')),
+        ),
+        (
+            "peek reads a field at a spelled-out offset",
+            (layout_text, wire_h_text,
+             cc_text.replace("Get(h, kTileId)", "LoadLe(h + 76, 4)")),
         ),
     ]
     failures = 0

@@ -709,7 +709,7 @@ void PrintServeStats(const WireServeStats& stats) {
 }
 
 // The stdio/file leg of serve: the blocking WireServer loop over
-// ByteSource/ByteSink (what ServeWireStream wraps for legacy callers).
+// ByteSource/ByteSink.
 int ServeStdio(const ServeOptions& options, HeatmapEngine& engine) {
   std::FILE* in = stdin;
   std::FILE* out = stdout;
