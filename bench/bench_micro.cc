@@ -8,14 +8,16 @@
 // After the google-benchmark tables, the run times the raster hot-path
 // kernels deterministically (fixed work, Stopwatch) and writes the
 // results to BENCH_micro.json (override with RNNHM_BENCH_JSON_MICRO):
-// one cell per (kernel, simd) with milliseconds, so CI can gate the SIMD
-// arc evaluation and the column kernel's walk against a committed
-// baseline the same way the end-to-end benches gate whole maps.
+// one cell per (kernel, simd[, metric]) with milliseconds, so CI can gate
+// the SIMD arc evaluation and the column kernel's walk and count paths
+// against a committed baseline the same way the end-to-end benches gate
+// whole maps.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -186,6 +188,7 @@ struct MicroCell {
   std::string simd;  // "on" / "off"
   int n;
   double ms;
+  std::string metric = "";  // column-kernel cells only
 };
 
 // Fixed-work kernel timings (no adaptive iteration count): the same
@@ -232,27 +235,52 @@ void TimeL2Raster(bool simd, const std::vector<NnCircle>& circles,
                              static_cast<int>(circles.size()), ms});
 }
 
-void TimeColumnWalk(std::vector<MicroCell>* cells) {
-  // The column kernel's per-column walk: L∞ chords are one closed-form
-  // row run per circle, so this map is dominated by sorting each column's
-  // events, walking them over the id set and filling the runs between.
+// The RNN set's size, but not a SizeInfluence: the column kernel walks
+// each column's events and evaluates it at every event row.
+class WalkedSize : public InfluenceMeasure {
+ public:
+  double Evaluate(std::span<const int32_t> clients) const override {
+    return static_cast<double>(clients.size());
+  }
+};
+
+// Column-kernel maps repeat more than the whole-map rasters: the count
+// path's L∞ map takes well under a millisecond.
+constexpr int kColumnReps = 100;
+
+void TimeColumnKernel(std::vector<MicroCell>* cells) {
+  // The column kernel on one circle set, per metric and path:
+  // `column_walk` counting-sorts each column's events, walks them over the
+  // id set and evaluates at every event row; `column_count` paints
+  // SizeInfluence from difference counts (a 2-D difference array for L∞,
+  // per-column ones for L1 and L2), so only chord generation is left.
   Rng rng(52);
   std::vector<NnCircle> circles;
   for (int i = 0; i < 2000; ++i) {
     circles.push_back(NnCircle{{rng.Uniform(0, 1), rng.Uniform(0, 1)},
                                rng.Uniform(0.01, 0.1), i});
   }
-  SizeInfluence measure;
+  const SizeInfluence size;
+  const WalkedSize walked;
   constexpr int kRes = 192;
-  const double ms = TimeMs([&] {
-    for (int r = 0; r < kRasterReps; ++r) {
-      const HeatmapGrid grid = BuildHeatmapLInf(
-          circles, measure, Rect{{0, 0}, {1, 1}}, kRes, kRes);
-      benchmark::DoNotOptimize(grid.values().data());
+  for (const Metric metric : {Metric::kLInf, Metric::kL1, Metric::kL2}) {
+    for (const bool count : {false, true}) {
+      const InfluenceMeasure& measure =
+          count ? static_cast<const InfluenceMeasure&>(size) : walked;
+      const double ms = TimeMs([&] {
+        for (int r = 0; r < kColumnReps; ++r) {
+          const HeatmapGrid grid = BuildHeatmapForMetric(
+              metric, circles, measure, Rect{{0, 0}, {1, 1}}, kRes, kRes);
+          benchmark::DoNotOptimize(grid.values().data());
+        }
+      });
+      // Only the L2 chords use the SIMD arc evaluation.
+      cells->push_back(MicroCell{count ? "column_count" : "column_walk",
+                                 metric == Metric::kL2 ? "on" : "off",
+                                 static_cast<int>(circles.size()), ms,
+                                 MetricName(metric)});
     }
-  });
-  cells->push_back(
-      MicroCell{"column_walk", "off", static_cast<int>(circles.size()), ms});
+  }
 }
 
 void TimePixelAxisLowerBound(std::vector<MicroCell>* cells) {
@@ -281,7 +309,7 @@ void WriteMicroJson() {
   }
   TimeL2Raster(/*simd=*/false, circles, &cells);
   TimeL2Raster(/*simd=*/true, circles, &cells);
-  TimeColumnWalk(&cells);
+  TimeColumnKernel(&cells);
   TimePixelAxisLowerBound(&cells);
 
   const char* path = std::getenv("RNNHM_BENCH_JSON_MICRO");
@@ -294,12 +322,15 @@ void WriteMicroJson() {
   std::fprintf(f, "{\n  \"benchmark\": \"micro\",\n  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const MicroCell& c = cells[i];
+    const std::string metric =
+        c.metric.empty() ? "" : "\"metric\": \"" + c.metric + "\", ";
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"simd\": \"%s\", \"n\": %d, "
+                 "    {\"kernel\": \"%s\", %s\"simd\": \"%s\", \"n\": %d, "
                  "\"ms\": %.3f}%s\n",
-                 c.kernel.c_str(), c.simd.c_str(), c.n, c.ms,
+                 c.kernel.c_str(), metric.c_str(), c.simd.c_str(), c.n, c.ms,
                  i + 1 < cells.size() ? "," : "");
-    std::printf("[micro/%s simd=%s] n=%d: %.3f ms\n", c.kernel.c_str(),
+    std::printf("[micro/%s %ssimd=%s] n=%d: %.3f ms\n", c.kernel.c_str(),
+                c.metric.empty() ? "" : (c.metric + " ").c_str(),
                 c.simd.c_str(), c.n, c.ms);
   }
   std::fprintf(f, "  ]\n}\n");

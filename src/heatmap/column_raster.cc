@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "common/check.h"
+#include "heatmap/influence.h"
 
 namespace rnnhm {
 
@@ -112,7 +114,7 @@ class ColumnWorker {
   ColumnWorker(Metric metric, std::span<const NnCircle> circles,
                std::span<const CircleRun> runs, const PixelAxis& cols,
                const PixelAxis& rows, const PixelWindow& window,
-               int origin_col, int origin_row, HeatmapGrid* out)
+               int origin_col, int origin_row, bool counts, HeatmapGrid* out)
       : metric_(metric),
         circles_(circles),
         runs_(runs),
@@ -122,21 +124,38 @@ class ColumnWorker {
         origin_col_(origin_col),
         origin_row_(origin_row),
         out_(out),
-        events_(kBatch),
-        set_(circles.size()) {}
+        counts_(counts),
+        events_(counts ? 0 : kBatch),
+        set_(counts ? 0 : circles.size()) {}
 
-  // Paints columns [col_lo, col_hi) of the window with `measure`.
+  // Paints columns [col_lo, col_hi) of the window with `measure`, or with
+  // RNN-set sizes, without calling it, when the worker counts.
   void Run(int col_lo, int col_hi, const InfluenceMeasure& measure) {
-    background_ = measure.Evaluate({});
+    if (!counts_) background_ = measure.Evaluate({});
     for (int b0 = col_lo; b0 < col_hi; b0 += kBatch) {
       const int b1 = std::min(b0 + kBatch, col_hi);
-      for (int i = 0; i < b1 - b0; ++i) events_[i].clear();
+      if (counts_) {
+        for (int j = window_.row_lo; j < window_.row_hi; ++j) {
+          std::fill(Cell(b0, j), Cell(b1, j), 0.0);
+        }
+      } else {
+        for (int i = 0; i < b1 - b0; ++i) events_[i].clear();
+      }
       for (const CircleRun& run : runs_) {
         const int a = std::max(run.col_lo, b0);
         const int e = std::min(run.col_hi, b1);
         if (a < e) AddChords(run, a, e, b0);
       }
-      for (int i = b0; i < b1; ++i) WalkColumn(i, measure, events_[i - b0]);
+      if (counts_) {
+        // Prefix sums up the rows turn each column's +1/-1 into counts.
+        for (int j = window_.row_lo + 1; j < window_.row_hi; ++j) {
+          const double* below = Cell(b0, j - 1);
+          double* row = Cell(b0, j);
+          for (int i = 0; i < b1 - b0; ++i) row[i] += below[i];
+        }
+      } else {
+        for (int i = b0; i < b1; ++i) WalkColumn(i, measure, events_[i - b0]);
+      }
     }
   }
 
@@ -144,10 +163,23 @@ class ColumnWorker {
   size_t num_evaluations() const { return num_evaluations_; }
 
  private:
-  void Push(int column_slot, int32_t index, int row_lo, int row_hi) {
+  // Output cell of global pixel (i, j).
+  double* Cell(int i, int j) const {
+    return out_->Row(j - origin_row_) + (i - origin_col_);
+  }
+
+  // Records circle `index`'s chord [row_lo, row_hi) in column
+  // b0 + column_slot: two events to walk, or, when counting, +1 at its
+  // first row and -1 past its last (dropped at the window's top edge).
+  void Push(int b0, int column_slot, int32_t index, int row_lo, int row_hi) {
+    ++num_chords_;
+    if (counts_) {
+      *Cell(b0 + column_slot, row_lo) += 1.0;
+      if (row_hi < window_.row_hi) *Cell(b0 + column_slot, row_hi) -= 1.0;
+      return;
+    }
     events_[column_slot].push_back(EventKey(row_lo, index, false));
     events_[column_slot].push_back(EventKey(row_hi, index, true));
-    ++num_chords_;
   }
 
   // Emits the chords of `run`'s circle over columns [a, e) of the batch
@@ -156,7 +188,7 @@ class ColumnWorker {
     const NnCircle& c = circles_[run.index];
     if (metric_ == Metric::kLInf) {
       for (int i = a; i < e; ++i) {
-        Push(i - b0, run.index, run.row_lo, run.row_hi);
+        Push(b0, i - b0, run.index, run.row_lo, run.row_hi);
       }
       return;
     }
@@ -182,7 +214,7 @@ class ColumnWorker {
       };
       if (ExactRun(rows_, window_.row_lo, window_.row_hi, c.center.y, lo, hi,
                    inside, &lo, &hi)) {
-        Push(i - b0, run.index, lo, hi);
+        Push(b0, i - b0, run.index, lo, hi);
       }
     }
   }
@@ -245,6 +277,7 @@ class ColumnWorker {
   const int origin_col_;
   const int origin_row_;
   HeatmapGrid* const out_;
+  const bool counts_;  // paint RNN-set sizes from difference counts
   std::vector<std::vector<uint64_t>> events_;  // per batch column
   std::vector<uint64_t> sorted_;               // the walked column's events
   std::vector<int> row_end_;                   // counting-sort buckets
@@ -255,6 +288,54 @@ class ColumnWorker {
   size_t num_chords_ = 0;
   size_t num_evaluations_ = 0;
 };
+
+// True when every block's measure is exactly SizeInfluence, whose value
+// is the RNN set's size: the kernel then counts instead of walking. The
+// exact type decides, so a subclass that overrides Evaluate is walked.
+bool CountsSizes(std::span<const InfluenceMeasure* const> measures) {
+  return std::all_of(measures.begin(), measures.end(),
+                     [](const InfluenceMeasure* m) {
+                       return typeid(*m) == typeid(SizeInfluence);
+                     });
+}
+
+// Size-only L∞: every circle's pixels are the rectangle of its column run
+// by its row run, so a 2-D difference array laid over the window's own
+// output cells takes 4 corner updates per circle and one prefix pass turns
+// it into counts. Corners on the window's right or top edge lie outside
+// it and are dropped, since a prefix sum never carries them back in.
+// Returns the circles' chords, as the walk would count them.
+size_t PaintLInfCounts(std::span<const CircleRun> runs,
+                       const PixelWindow& window, int origin_col,
+                       int origin_row, HeatmapGrid* out) {
+  const auto cell = [&](int i, int j) {
+    return out->Row(j - origin_row) + (i - origin_col);
+  };
+  for (int j = window.row_lo; j < window.row_hi; ++j) {
+    std::fill(cell(window.col_lo, j), cell(window.col_hi, j), 0.0);
+  }
+  size_t chords = 0;
+  for (const CircleRun& run : runs) {
+    chords += static_cast<size_t>(run.col_hi - run.col_lo);
+    const bool right = run.col_hi < window.col_hi;
+    *cell(run.col_lo, run.row_lo) += 1.0;
+    if (right) *cell(run.col_hi, run.row_lo) -= 1.0;
+    if (run.row_hi < window.row_hi) {
+      *cell(run.col_lo, run.row_hi) -= 1.0;
+      if (right) *cell(run.col_hi, run.row_hi) += 1.0;
+    }
+  }
+  const int width = window.width();
+  for (int j = window.row_lo; j < window.row_hi; ++j) {
+    double* row = cell(window.col_lo, j);
+    double sum = 0.0;
+    for (int i = 0; i < width; ++i) row[i] = sum += row[i];
+    if (j == window.row_lo) continue;
+    const double* below = cell(window.col_lo, j - 1);
+    for (int i = 0; i < width; ++i) row[i] += below[i];
+  }
+  return chords;
+}
 
 }  // namespace
 
@@ -321,6 +402,13 @@ ColumnRasterStats RasterizeColumns(
     runs.push_back(run);
   }
 
+  const bool counts = CountsSizes(measures);
+  if (counts && metric == Metric::kLInf) {
+    stats.num_chords =
+        PaintLInfCounts(runs, window, origin_col, origin_row, out);
+    return stats;
+  }
+
   // Contiguous column blocks, one thread each (block 0 on the caller's).
   const int blocks = static_cast<int>(
       std::min<size_t>(measures.size(), static_cast<size_t>(window.width())));
@@ -328,7 +416,7 @@ ColumnRasterStats RasterizeColumns(
   workers.reserve(blocks);
   for (int t = 0; t < blocks; ++t) {
     workers.emplace_back(metric, circles, runs, cols, rows, window,
-                         origin_col, origin_row, out);
+                         origin_col, origin_row, counts, out);
   }
   const auto block_lo = [&](int t) {
     return window.col_lo + static_cast<int>(

@@ -14,10 +14,25 @@
 //      for L∞, the diamond's cy ± (r − |dx|) for L1, the two arc
 //      ordinates from the SIMD ArcYAtColumns for L2 — nudged to exact the
 //      same way;
-//   3. per column, the chords' enter/exit rows counting-sorted into
-//      (row, circle index) order and walked bottom to top over a dense
-//      swap-remove id set, whose span goes straight to Evaluate once per
-//      event row; the rows between events get the current value.
+//   3. the walk: per column, the chords' enter/exit rows counting-sorted
+//      into (row, circle index) order and walked bottom to top over a
+//      dense swap-remove id set, whose span goes straight to Evaluate once
+//      per event row; the rows between events get the current value.
+//
+// The count path replaces step 3 when every block's measure is exactly
+// SizeInfluence (its typeid, so a subclass overriding Evaluate is walked):
+// a pixel's value is then the number of circles containing its center,
+// which difference counts give without an id set or an Evaluate call.
+//   - L∞: a circle's pixels are its column run × its row run, 4 corner
+//     updates of a 2-D difference array laid over the window's output
+//     cells; one prefix pass on the caller's thread makes the counts, in
+//     O(circles + pixels) whatever the block count.
+//   - L1/L2: each chord of step 2 adds +1 at its first row and -1 past its
+//     last in its 64-column batch; one prefix pass up the rows follows.
+// Updates past the window's right or top edge are dropped (a prefix sum
+// never carries them back in), so only window cells are written. The
+// chords are the walk's own and their counts are small integers, which
+// add exactly in a double, so both paths paint the same bits.
 //
 // Exactness: along any row or column the set of pixel centers a circle
 // contains is one contiguous run (the computed distance is monotone in
@@ -72,7 +87,7 @@ struct ColumnRasterStats {
   size_t num_circles = 0;          ///< circles considered (radius >= 0)
   size_t num_skipped_circles = 0;  ///< negative radius: contain no point
   size_t num_chords = 0;           ///< non-empty (circle, column) chords
-  size_t num_evaluations = 0;      ///< InfluenceMeasure::Evaluate calls
+  size_t num_evaluations = 0;      ///< Evaluate calls (0 when counting)
 
   ColumnRasterStats& operator+=(const ColumnRasterStats& o) {
     num_circles += o.num_circles;
@@ -95,8 +110,9 @@ PixelAxis RowAxis(const Rect& domain, int height);
 /// is split into measures.size() contiguous column blocks, block t
 /// painted on its own thread with measures[t] (pass one instance per
 /// block for measures with per-instance scratch, e.g. CapacityInfluence;
-/// repeating one thread-safe instance is fine). Output is identical for
-/// every block count.
+/// repeating one thread-safe instance is fine); the SizeInfluence count
+/// path paints L∞ on the caller's thread alone. Output is identical for
+/// every block count and for both paths.
 ColumnRasterStats RasterizeColumns(
     Metric metric, std::span<const NnCircle> circles,
     std::span<const InfluenceMeasure* const> measures, const PixelAxis& cols,

@@ -128,8 +128,9 @@ struct TiledServeStats {
 
 /// The finished raster plus the kernel's counters: `stats` for kLInf and
 /// kL1, `l2_stats` for kL2 (the other stays zero). The column kernel fills
-/// num_circles, num_skipped_circles, num_events (chords emitted) and
-/// num_labelings (Evaluate calls); the sweep-only counters stay zero.
+/// num_circles, num_skipped_circles, num_events (chords painted) and
+/// num_labelings (Evaluate calls: 0 for SizeInfluence, which the kernel
+/// counts); the sweep-only counters stay zero.
 struct HeatmapResponse {
   HeatmapGrid grid;
   CrestStats stats;

@@ -28,8 +28,11 @@
 // and in the CrestL2Stats words for kL2 (the other group stays zero):
 //   num_circles          <- circles considered (radius >= 0)
 //   num_skipped_circles  <- negative-radius circles (they contain no point)
-//   num_events           <- chords emitted (non-empty circle x column runs)
-//   num_labelings        <- InfluenceMeasure::Evaluate calls
+//   num_events           <- chords painted (non-empty circle x column runs),
+//                           on either kernel path
+//   num_labelings        <- InfluenceMeasure::Evaluate calls; always 0 for
+//                           SizeInfluence, whose maps are counted, not
+//                           evaluated
 // The sweep-only words (num_merged_intervals, num_elements_walked,
 // num_cross_events) are always zero.
 //

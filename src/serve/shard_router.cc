@@ -1,6 +1,7 @@
 #include "serve/shard_router.h"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -84,6 +85,7 @@ Status ShardFleet::Spawn(const ServeOptions& options, ShardFleet* out) {
     paths.push_back(path);
   }
 
+  const pid_t spawner = ::getpid();
   std::vector<pid_t> pids;
   for (int i = 0; i < options.num_shards; ++i) {
     const pid_t pid = ::fork();
@@ -95,7 +97,14 @@ Status ShardFleet::Spawn(const ServeOptions& options, ShardFleet* out) {
       return status;
     }
     if (pid == 0) {
-      // Child: keep only shard i's listener fd; raw-close the siblings'
+      // Child: die with the spawner, however it ends. The kernel sends
+      // SIGTERM (a graceful shutdown) when the forking thread exits; a
+      // spawner that died before prctl ran has already reparented us.
+      if (::prctl(PR_SET_PDEATHSIG, SIGTERM) != 0 ||
+          ::getppid() != spawner) {
+        std::_Exit(1);
+      }
+      // Keep only shard i's listener fd; raw-close the siblings'
       // (no unlink — their owners are still serving on those paths).
       for (int j = 0; j < options.num_shards; ++j) {
         if (j != i) ::close(listeners[j].fd());

@@ -72,6 +72,9 @@ class ShardFleet {
   /// listener. Worker engines take `options.threads/slabs/cache_bytes`.
   /// Call from a single-threaded process state (before spawning local
   /// engine threads): fork does not carry sibling threads into children.
+  /// Workers get SIGTERM when the calling thread exits, so a spawner that
+  /// dies abnormally leaves no worker behind; keep that thread alive for
+  /// the fleet's lifetime.
   static Status Spawn(const ServeOptions& options, ShardFleet* out);
 
   /// The per-shard socket paths, index == shard id.

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,18 +32,37 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// The four measures the kernel must reproduce exactly for any set order:
-// each is built per block, so CapacityInfluence's scratch is never shared.
-enum class MeasureKind { kSize, kDyadicWeighted, kCapacity, kConnectivity };
+// The RNN set's size, but not a SizeInfluence: the kernel walks and
+// evaluates it, so it is the count path's reference.
+class WalkedSize : public InfluenceMeasure {
+ public:
+  double Evaluate(std::span<const int32_t> clients) const override {
+    return static_cast<double>(clients.size());
+  }
+};
+
+// The measures the kernel must reproduce exactly for any set order: each
+// is built per block, so CapacityInfluence's scratch is never shared.
+// kSize takes the kernel's count path, the others its walk.
+enum class MeasureKind {
+  kSize,
+  kWalkedSize,
+  kDyadicWeighted,
+  kCapacity,
+  kConnectivity
+};
 
 constexpr MeasureKind kMeasures[] = {
-    MeasureKind::kSize, MeasureKind::kDyadicWeighted, MeasureKind::kCapacity,
+    MeasureKind::kSize, MeasureKind::kWalkedSize,
+    MeasureKind::kDyadicWeighted, MeasureKind::kCapacity,
     MeasureKind::kConnectivity};
 
 std::string MeasureName(MeasureKind kind) {
   switch (kind) {
     case MeasureKind::kSize:
       return "size";
+    case MeasureKind::kWalkedSize:
+      return "walked-size";
     case MeasureKind::kDyadicWeighted:
       return "dyadic-weighted";
     case MeasureKind::kCapacity:
@@ -58,6 +78,8 @@ std::unique_ptr<InfluenceMeasure> MakeMeasure(MeasureKind kind,
   switch (kind) {
     case MeasureKind::kSize:
       return std::make_unique<SizeInfluence>();
+    case MeasureKind::kWalkedSize:
+      return std::make_unique<WalkedSize>();
     case MeasureKind::kDyadicWeighted: {
       std::vector<double> weights;
       for (int32_t c = 0; c < num_clients; ++c) {
@@ -403,11 +425,12 @@ TEST(ColumnRasterTest, CountsChordsEvaluationsAndSkippedCircles) {
   const std::vector<NnCircle> circles{{{0.5, 0.5}, 0.25, 0},
                                       {{0.5, 0.5}, -1.0, 1},
                                       {{5.0, 5.0}, 0.25, 2}};
-  SizeInfluence measure;
+  SizeInfluence size;
+  WalkedSize walked;
   for (const Metric metric : kMetrics) {
     HeatmapGrid grid(16, 16, kUnit, 0.0);
     const ColumnRasterStats stats =
-        RasterizeGrid(metric, circles, measure, 1, &grid);
+        RasterizeGrid(metric, circles, walked, 1, &grid);
     EXPECT_EQ(stats.num_circles, 2u) << MetricName(metric);
     EXPECT_EQ(stats.num_skipped_circles, 1u) << "negative radius";
     // One chord per covered column of circle 0; one evaluation where it
@@ -415,6 +438,14 @@ TEST(ColumnRasterTest, CountsChordsEvaluationsAndSkippedCircles) {
     EXPECT_GT(stats.num_chords, 0u);
     EXPECT_EQ(stats.num_evaluations, stats.num_chords);
     EXPECT_LE(stats.num_chords, 9u);
+    // SizeInfluence is counted, never evaluated; the other counters keep
+    // their meaning.
+    const ColumnRasterStats counted =
+        RasterizeGrid(metric, circles, size, 1, &grid);
+    EXPECT_EQ(counted.num_evaluations, 0u) << MetricName(metric);
+    EXPECT_EQ(counted.num_chords, stats.num_chords) << MetricName(metric);
+    EXPECT_EQ(counted.num_circles, stats.num_circles);
+    EXPECT_EQ(counted.num_skipped_circles, stats.num_skipped_circles);
   }
 }
 
@@ -439,6 +470,206 @@ TEST(ColumnRasterTest, OutputIsIdenticalForEveryBlockCount) {
                                                      domain, 70, 50, blocks);
       EXPECT_EQ(one.values(), many.values())
           << MetricName(metric) << " blocks=" << blocks;
+    }
+  }
+}
+
+// --- Count path: SizeInfluence is counted, not evaluated ------------------
+
+// Paints `window` three ways into copies of `prefill` — stored with the
+// window's pixel (i, j) at cell (i - origin_col, j - origin_row) — and
+// expects them equal bit for bit: SizeInfluence (the count path), the
+// walk with WalkedSize, and the brute-force oracle copied in. Cells
+// outside the window must keep `prefill`. Every block count is tried.
+void ExpectCountPathMatchesWalkAndBruteForce(
+    Metric metric, const std::vector<NnCircle>& circles, const Rect& domain,
+    int width, int height, const PixelWindow& window, int origin_col,
+    int origin_row, const HeatmapGrid& prefill, const std::string& label) {
+  const std::string where = label + " " + MetricName(metric);
+  SizeInfluence size;
+  const WalkedSize walked;
+  HeatmapGrid want = prefill;
+  const HeatmapGrid oracle =
+      BuildHeatmapBruteForce(circles, metric, size, domain, width, height);
+  for (int j = window.row_lo; j < window.row_hi; ++j) {
+    for (int i = window.col_lo; i < window.col_hi; ++i) {
+      want.At(i - origin_col, j - origin_row) = oracle.At(i, j);
+    }
+  }
+  const PixelAxis cols = ColumnAxis(domain, width);
+  const PixelAxis rows = RowAxis(domain, height);
+  for (const int blocks : {1, 2, 4}) {
+    const std::vector<const InfluenceMeasure*> counted(blocks, &size);
+    const std::vector<const InfluenceMeasure*> walks(blocks, &walked);
+    HeatmapGrid by_count = prefill;
+    HeatmapGrid by_walk = prefill;
+    const ColumnRasterStats count_stats =
+        RasterizeColumns(metric, circles, counted, cols, rows, window,
+                         origin_col, origin_row, &by_count);
+    const ColumnRasterStats walk_stats =
+        RasterizeColumns(metric, circles, walks, cols, rows, window,
+                         origin_col, origin_row, &by_walk);
+    int mismatches = 0;
+    for (size_t k = 0; k < want.values().size(); ++k) {
+      const double w = want.values()[k];
+      const double c = by_count.values()[k];
+      const double v = by_walk.values()[k];
+      if (!SameBits(w, c) || !SameBits(w, v)) {
+        if (++mismatches <= 3) {
+          ADD_FAILURE() << where << " blocks=" << blocks << " cell " << k
+                        << ": oracle " << w << " count " << c << " walk "
+                        << v;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << where << " blocks=" << blocks;
+    EXPECT_EQ(count_stats.num_evaluations, 0u) << where;
+    EXPECT_EQ(count_stats.num_chords, walk_stats.num_chords) << where;
+    EXPECT_EQ(count_stats.num_circles, walk_stats.num_circles) << where;
+    EXPECT_EQ(count_stats.num_skipped_circles,
+              walk_stats.num_skipped_circles)
+        << where;
+  }
+}
+
+// The lattice cases (zero radii on pixel centers, boundary-exact centers
+// and rims, off-window circles) plus negative radii.
+std::vector<NnCircle> CountPathCircles() {
+  std::vector<NnCircle> circles = LatticeCircles();
+  const auto add = [&circles](double x, double y, double r) {
+    circles.push_back(
+        NnCircle{{x, y}, r, static_cast<int32_t>(circles.size())});
+  };
+  add(Center(8), Center(8), -kPitch);
+  add(0.5, 0.5, -0.0);  // contains its center only: not a pixel center
+  add(Center(2), Center(13), -1e300);
+  add(Center(5), Center(6), 0.0);  // a second zero radius on a center
+  return circles;
+}
+
+TEST(ColumnCountPathTest, WholeGridsMatchWalkAndBruteForce) {
+  const std::vector<NnCircle> lattice = CountPathCircles();
+  Rng rng(8080);
+  std::vector<NnCircle> random;
+  for (int32_t i = 0; i < 120; ++i) {
+    random.push_back(NnCircle{{rng.Uniform(-0.1, 1.1), rng.Uniform(-0.1, 1.1)},
+                              rng.Uniform(-0.05, 0.3), i});
+  }
+  const Rect domain{{-0.05, 0.0}, {1.05, 0.9}};
+  for (const Metric metric : kMetrics) {
+    ExpectCountPathMatchesWalkAndBruteForce(
+        metric, lattice, kUnit, 16, 16, PixelWindow{0, 16, 0, 16}, 0, 0,
+        HeatmapGrid(16, 16, kUnit, -1.0), "lattice");
+    ExpectCountPathMatchesWalkAndBruteForce(
+        metric, random, domain, 53, 41, PixelWindow{0, 53, 0, 41}, 0, 0,
+        HeatmapGrid(53, 41, domain, -1.0), "random");
+    ExpectCountPathMatchesWalkAndBruteForce(
+        metric, lattice, kUnit, 1, 16, PixelWindow{0, 1, 0, 16}, 0, 0,
+        HeatmapGrid(1, 16, kUnit, -1.0), "1x16");
+    ExpectCountPathMatchesWalkAndBruteForce(
+        metric, lattice, kUnit, 16, 1, PixelWindow{0, 16, 0, 1}, 0, 0,
+        HeatmapGrid(16, 1, kUnit, -1.0), "16x1");
+  }
+}
+
+TEST(ColumnCountPathTest, TileWindowsWithNonZeroOrigins) {
+  // Tile fragments: a window stored at its own low corner, and the same
+  // window stored inside a larger grid at another origin.
+  const std::vector<NnCircle> circles = CountPathCircles();
+  const PixelWindow windows[] = {{3, 11, 2, 14}, {0, 1, 0, 16},
+                                 {15, 16, 0, 16}, {0, 16, 7, 8},
+                                 {5, 6, 9, 10},   {8, 16, 8, 16}};
+  for (const Metric metric : kMetrics) {
+    for (const PixelWindow& w : windows) {
+      const std::string label = "tile [" + std::to_string(w.col_lo) + "," +
+                                std::to_string(w.col_hi) + ")x[" +
+                                std::to_string(w.row_lo) + "," +
+                                std::to_string(w.row_hi) + ")";
+      ExpectCountPathMatchesWalkAndBruteForce(
+          metric, circles, kUnit, 16, 16, w, w.col_lo, w.row_lo,
+          HeatmapGrid(w.width(), w.height(), kUnit, -1.0), label);
+      ExpectCountPathMatchesWalkAndBruteForce(
+          metric, circles, kUnit, 16, 16, w, w.col_lo - 1, w.row_lo - 2,
+          HeatmapGrid(w.width() + 3, w.height() + 4, kUnit, -1.0),
+          label + " inset");
+    }
+  }
+}
+
+TEST(ColumnCountPathTest, DeltaSpliceWindowsKeepTheRetainedPixels) {
+  // A delta splice repaints a dirty window of the retained grid in place:
+  // pixels inside take the new set's values, the rest keep the old map.
+  Rng rng(9191);
+  std::vector<NnCircle> before;
+  for (int32_t i = 0; i < 60; ++i) {
+    before.push_back(NnCircle{{rng.Uniform(0, 1), rng.Uniform(0, 1)},
+                              rng.Uniform(0.0, 0.2), i});
+  }
+  std::vector<NnCircle> after = before;
+  after[7].center = {0.41, 0.37};
+  after[19].radius = 0.31;
+  after.push_back(NnCircle{{Center(20), Center(9)}, 0.0, 60});
+  const Rect domain{{0.0, 0.0}, {1.0, 1.0}};
+  SizeInfluence size;
+  for (const Metric metric : kMetrics) {
+    const HeatmapGrid retained =
+        BuildHeatmapBruteForce(before, metric, size, domain, 48, 40);
+    for (const PixelWindow& w : {PixelWindow{10, 30, 5, 25},
+                                 PixelWindow{0, 48, 12, 13},
+                                 PixelWindow{47, 48, 0, 40}}) {
+      ExpectCountPathMatchesWalkAndBruteForce(metric, after, domain, 48, 40,
+                                              w, 0, 0, retained, "splice");
+    }
+  }
+}
+
+TEST(ColumnCountPathTest, SubUlpPitchesFarFromTheOrigin) {
+  for (const uint64_t seed : {5u, 6u}) {
+    Rng rng(seed);
+    const double base = seed % 2 == 1 ? 1e15 : 3e15;
+    const Rect domain{{base, base}, {base + 6.4, base + 4.8}};
+    std::vector<NnCircle> circles;
+    for (int32_t i = 0; i < 24; ++i) {
+      circles.push_back(NnCircle{{base + rng.Uniform(-1.0, 7.4),
+                                  base + rng.Uniform(-1.0, 5.8)},
+                                 rng.Uniform(-0.5, 2.5), i});
+    }
+    for (const Metric metric : kMetrics) {
+      ExpectCountPathMatchesWalkAndBruteForce(
+          metric, circles, domain, 64, 48, PixelWindow{0, 64, 0, 48}, 0, 0,
+          HeatmapGrid(64, 48, domain, -1.0), "offset");
+      ExpectCountPathMatchesWalkAndBruteForce(
+          metric, circles, domain, 64, 48, PixelWindow{9, 40, 13, 31}, 9, 13,
+          HeatmapGrid(31, 18, domain, -1.0), "offset tile");
+    }
+  }
+}
+
+TEST(ColumnCountPathTest, SubclassOfSizeInfluenceIsWalked) {
+  // Only the exact type SizeInfluence is counted: a subclass that
+  // overrides Evaluate is evaluated once per event row, like any measure.
+  class DoubledSize : public SizeInfluence {
+   public:
+    double Evaluate(std::span<const int32_t> clients) const override {
+      return 2.0 * static_cast<double>(clients.size());
+    }
+  };
+  const std::vector<NnCircle> circles = CountPathCircles();
+  const SizeInfluence size;
+  const DoubledSize doubled;
+  for (const Metric metric : kMetrics) {
+    HeatmapGrid counted(16, 16, kUnit, -1.0);
+    HeatmapGrid walked(16, 16, kUnit, -1.0);
+    EXPECT_EQ(RasterizeGrid(metric, circles, size, 2, &counted)
+                  .num_evaluations,
+              0u);
+    EXPECT_GT(RasterizeGrid(metric, circles, doubled, 2, &walked)
+                  .num_evaluations,
+              0u)
+        << MetricName(metric);
+    for (size_t k = 0; k < counted.values().size(); ++k) {
+      ASSERT_EQ(walked.values()[k], 2.0 * counted.values()[k])
+          << MetricName(metric) << " cell " << k;
     }
   }
 }

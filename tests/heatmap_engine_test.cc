@@ -75,7 +75,9 @@ TEST(HeatmapEngineTest, SingleThreadModeMatchesSequentialCrest) {
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectBitIdentical(responses[i].grid, Reference(batch[i], measure));
-    EXPECT_GT(responses[i].stats.num_labelings, 0u);
+    // The kernel ran (chords painted) and counted: Size is never evaluated.
+    EXPECT_GT(responses[i].stats.num_events, 0u);
+    EXPECT_EQ(responses[i].stats.num_labelings, 0u);
   }
 }
 
@@ -178,7 +180,7 @@ TEST(HeatmapEngineTest, DestructorDrainsOutstandingRequests) {
     future = engine.Submit(RandomRequest(60, 7));
   }  // destructor joins after serving the queue
   const auto response = future.get();
-  EXPECT_GT(response.stats.num_labelings, 0u);
+  EXPECT_GT(response.stats.num_events, 0u);
 }
 
 TEST(HeatmapEngineTest, DestructorDrainsDeepQueueAcrossWorkers) {
@@ -305,15 +307,16 @@ TEST(HeatmapEngineTest, L2RequestsMatchSequentialArcSweepBitForBit) {
     ExpectBitIdentical(response.grid,
                        BuildHeatmapL2(req.circles, measure, req.domain,
                                       req.width, req.height));
-    EXPECT_GT(response.l2_stats.num_labelings, 0u);
-    EXPECT_EQ(response.stats.num_labelings, 0u);  // arc sweep only
+    EXPECT_GT(response.l2_stats.num_events, 0u);
+    EXPECT_EQ(response.stats.num_events, 0u);  // L2 counters only
+    EXPECT_EQ(response.l2_stats.num_labelings, 0u);  // Size is counted
   }
 }
 
 TEST(HeatmapEngineTest, L2StatsAggregateAcrossSlabs) {
   // The engine surfaces the column kernel's counters (query/wire.h maps
   // them): circles, chords as events, Evaluate calls as labelings — the
-  // same totals for every slab count, since each column is walked alike.
+  // same totals for every slab count, since each column is painted alike.
   SizeInfluence measure;
   const auto req = L2Request(80, 2200);
   HeatmapGrid grid(req.width, req.height, req.domain, 0.0);
@@ -328,7 +331,8 @@ TEST(HeatmapEngineTest, L2StatsAggregateAcrossSlabs) {
     EXPECT_EQ(response.l2_stats.num_events, kernel.num_chords);
     EXPECT_EQ(response.l2_stats.num_labelings, kernel.num_evaluations);
     EXPECT_EQ(response.l2_stats.num_cross_events, 0u);  // sweep-only
-    EXPECT_GT(response.l2_stats.num_labelings, 0u);
+    EXPECT_GT(response.l2_stats.num_events, 0u);
+    EXPECT_EQ(response.l2_stats.num_labelings, 0u);  // Size is counted
   }
 }
 
@@ -343,11 +347,14 @@ TEST(HeatmapEngineTest, MixedMetricBatchDispatchesPerRequest) {
   batch.push_back(std::move(l1));
   const auto responses = engine.RunBatch(std::move(batch));
   ASSERT_EQ(responses.size(), 3u);
-  EXPECT_GT(responses[0].stats.num_labelings, 0u);
-  EXPECT_EQ(responses[0].l2_stats.num_labelings, 0u);
-  EXPECT_GT(responses[1].l2_stats.num_labelings, 0u);
-  EXPECT_EQ(responses[1].stats.num_labelings, 0u);
-  EXPECT_GT(responses[2].stats.num_labelings, 0u);
+  EXPECT_GT(responses[0].stats.num_events, 0u);
+  EXPECT_EQ(responses[0].l2_stats.num_events, 0u);
+  EXPECT_GT(responses[1].l2_stats.num_events, 0u);
+  EXPECT_EQ(responses[1].stats.num_events, 0u);
+  EXPECT_GT(responses[2].stats.num_events, 0u);
+  for (const HeatmapResponse& r : responses) {
+    EXPECT_EQ(r.stats.num_labelings + r.l2_stats.num_labelings, 0u);
+  }
 }
 
 // --- Serving API v2: handles + registry -----------------------------------

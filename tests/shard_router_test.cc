@@ -8,10 +8,13 @@
 // single-threaded — the router thread and any reference engines come
 // after (fork must not carry sibling threads' lock state into workers).
 #include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -522,6 +525,62 @@ TEST(ShardRouterTest, ByTileOversizedRasterIsRefusedAndTheConnectionServesOn) {
 
   ::close(fd);
   EXPECT_TRUE(harness.Stop().ok());
+}
+
+TEST(ShardFleetTest, WorkersExitWhenTheSpawnerIsKilled) {
+  // A helper process spawns a 1-shard fleet, reports the worker's pid and
+  // is SIGKILLed, so it never runs Shutdown. As the subreaper, this
+  // process inherits the orphaned worker and can tell when it exits.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const std::string dir =
+      "/tmp/rnnhm-orphan-test-" + std::to_string(::getpid());
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::close(pipe_fds[0]);
+    ServeOptions options;
+    options.transport = TransportKind::kUnix;
+    options.num_shards = 1;
+    options.threads = 1;
+    options.slabs = 1;
+    options.socket_dir = dir;
+    ShardFleet fleet;
+    if (!ShardFleet::Spawn(options, &fleet).ok()) std::_Exit(1);
+    const pid_t worker = fleet.worker_pid(0);
+    if (::write(pipe_fds[1], &worker, sizeof worker) != sizeof worker) {
+      std::_Exit(1);
+    }
+    for (;;) ::pause();  // until SIGKILLed
+  }
+  ::close(pipe_fds[1]);
+  pid_t worker = -1;
+  const ssize_t got = ::read(pipe_fds[0], &worker, sizeof worker);
+  ::close(pipe_fds[0]);
+  ::kill(helper, SIGKILL);
+  ::waitpid(helper, nullptr, 0);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof worker));
+
+  bool exited = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (::waitpid(worker, nullptr, WNOHANG) == worker) {
+      exited = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!exited) {
+    ::kill(worker, SIGKILL);
+    ::waitpid(worker, nullptr, 0);
+  }
+  EXPECT_TRUE(exited) << "shard worker " << worker
+                      << " outlived its spawner";
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ::unlink((dir + "/shard-0.sock").c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace
