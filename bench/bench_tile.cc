@@ -1,22 +1,17 @@
 // Domain tiling: the tile-partitioned raster benchmark.
 //
-// Two phases, each across the three metrics:
-//   * sweep — one full raster built untiled (BuildHeatmap*Parallel) vs.
-//             through a TilePlan at several grid sizes. The tiled build
-//             paints every tile over just the circles that can influence
-//             it, so the comparison shows what the per-tile circle
-//             narrowing buys (and what the per-tile fixed costs eat).
-//             Every tiled raster is checked bit-identical to the untiled
-//             one — the run aborts on any mismatch.
-//   * edit  — a cache-enabled HeatmapEngine serving the same request
-//             tiled, then again after one circle moved: the tile-granular
-//             cache keys repaint only the tiles the edit overlaps, while
-//             an untiled engine would repaint the whole raster.
+// One phase across the three metrics: one full raster built untiled
+// (BuildHeatmapForMetric) vs. the same raster painted window by window
+// (TileWindows + PaintTileFragment) and stitched (StitchFragment) at
+// several grid sizes. Every window is painted over the whole circle set,
+// so the comparison shows what the per-window fixed costs eat. Every
+// stitched raster is checked bit-identical to the untiled one — the run
+// aborts on any mismatch.
 //
-// Besides the text tables, the run writes a machine-readable summary to
+// Besides the text table, the run writes a machine-readable summary to
 // BENCH_tile.json (override the path with RNNHM_BENCH_JSON_TILE): one
-// record per (phase, metric, grid) with untiled/tiled milliseconds, so CI
-// can gate the tiling trajectory next to the other BENCH_*.json files.
+// record per (metric, grid) with untiled/tiled milliseconds, so CI can
+// gate the tiling trajectory next to the other BENCH_*.json files.
 // Set RNNHM_BENCH_FULL=1 for larger workloads.
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +20,6 @@
 
 #include "bench_common.h"
 #include "heatmap/influence.h"
-#include "query/heatmap_engine.h"
 #include "tile/tile_plan.h"
 
 namespace rnnhm::bench {
@@ -34,13 +28,26 @@ namespace {
 struct JsonRecord {
   std::string phase;
   std::string metric;
-  int grid;            // tiles per side
-  double cold_ms;      // untiled sweep / cold tiled serve
-  double warm_ms;      // tiled sweep / post-edit tiled serve
-  double extra = 0.0;  // sweep: 0; edit: tiles reswept after the edit
+  int grid;        // tiles per side
+  double cold_ms;  // untiled raster
+  double warm_ms;  // windows painted and stitched
 };
 
 const Rect kDomain{{0, 0}, {1, 1}};
+
+// The raster painted window by window and stitched.
+HeatmapGrid PaintTiled(Metric metric, const std::vector<NnCircle>& circles,
+                       const InfluenceMeasure& measure, int resolution,
+                       const std::vector<TileWindow>& windows) {
+  HeatmapGrid stitched(resolution, resolution, kDomain, measure.Evaluate({}));
+  for (const TileWindow& window : windows) {
+    if (window.empty()) continue;
+    const HeatmapGrid fragment = PaintTileFragment(
+        metric, circles, measure, 1, kDomain, resolution, resolution, window);
+    StitchFragment(window, fragment, &stitched);
+  }
+  return stitched;
+}
 
 void RunSweepPhase(const Dataset& dataset, Metric metric, size_t clients,
                    size_t facilities, int resolution,
@@ -54,69 +61,26 @@ void RunSweepPhase(const Dataset& dataset, Metric metric, size_t clients,
                           resolution);
   });
   for (const int grid : {1, 2, 4}) {
-    TilePlanOptions options;
-    options.rows = grid;
-    options.cols = grid;
-    const TilePlan plan(metric, w.circles, kDomain, resolution, resolution,
-                        options);
-    const HeatmapGrid tiled = plan.Run(measure);
+    const std::vector<TileWindow> windows =
+        TileWindows(kDomain, resolution, resolution, grid, grid);
+    const HeatmapGrid tiled =
+        PaintTiled(metric, w.circles, measure, resolution, windows);
     if (tiled.values() != untiled.values()) {
       std::fprintf(stderr, "[sweep/%s] %dx%d tiling is NOT bit-identical\n",
                    MetricName(metric).c_str(), grid, grid);
       std::exit(1);
     }
-    const double tiled_ms = TimeMs([&] { plan.Run(measure); });
+    const double tiled_ms = TimeMs([&] {
+      PaintTiled(metric, w.circles, measure, resolution, windows);
+    });
     std::printf("[sweep/%s] %dx%d at %dx%d px: untiled %.1f ms, tiled "
                 "%.1f ms (%.2fx), bit-identical\n",
                 MetricName(metric).c_str(), grid, grid, resolution,
                 resolution, untiled_ms, tiled_ms,
                 tiled_ms > 0.0 ? untiled_ms / tiled_ms : 0.0);
     records->push_back(JsonRecord{"sweep", MetricName(metric), grid,
-                                  untiled_ms, tiled_ms, 0.0});
+                                  untiled_ms, tiled_ms});
   }
-}
-
-void RunEditPhase(const Dataset& dataset, Metric metric, size_t clients,
-                  size_t facilities, int resolution, int grid,
-                  std::vector<JsonRecord>* records) {
-  const PreparedWorkload w = Prepare(dataset, clients, facilities, metric, 92);
-  SizeInfluence measure;
-  HeatmapEngineOptions options;
-  options.num_threads = 1;
-  options.cache_bytes = 512ull << 20;
-  HeatmapEngine engine(measure, options);
-
-  const CircleSetHandle cold_handle =
-      engine.registry().Register(w.circles, metric);
-  TiledServeStats cold_stats;
-  const double cold_ms = TimeMs([&] {
-    engine.ExecuteTiled(
-        HeatmapRequestV2{cold_handle, kDomain, resolution, resolution}, grid,
-        grid, &cold_stats);
-  });
-
-  // One local move: nudge the first circle. Only the tiles its old and
-  // new bounding boxes overlap lose their cached fragments.
-  std::vector<NnCircle> edited = w.circles;
-  edited[0].center.x += 0.01;
-  const CircleSetHandle warm_handle =
-      engine.registry().Register(std::move(edited), metric);
-  TiledServeStats warm_stats;
-  const double warm_ms = TimeMs([&] {
-    engine.ExecuteTiled(
-        HeatmapRequestV2{warm_handle, kDomain, resolution, resolution}, grid,
-        grid, &warm_stats);
-  });
-
-  std::printf("[edit/%s] %dx%d tiles at %dx%d px: cold %.1f ms (%d swept), "
-              "after edit %.1f ms (%d swept, %d cached) — %.2fx\n",
-              MetricName(metric).c_str(), grid, grid, resolution, resolution,
-              cold_ms, cold_stats.swept_tiles, warm_ms,
-              warm_stats.swept_tiles, warm_stats.cached_tiles,
-              warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
-  records->push_back(JsonRecord{"edit", MetricName(metric), grid, cold_ms,
-                                warm_ms,
-                                static_cast<double>(warm_stats.swept_tiles)});
 }
 
 void WriteJson(const std::vector<JsonRecord>& records) {
@@ -133,9 +97,9 @@ void WriteJson(const std::vector<JsonRecord>& records) {
     std::fprintf(
         f,
         "    {\"phase\": \"%s\", \"metric\": \"%s\", \"grid\": %d, "
-        "\"cold_ms\": %.3f, \"warm_ms\": %.3f, \"extra\": %.3f}%s\n",
+        "\"cold_ms\": %.3f, \"warm_ms\": %.3f}%s\n",
         r.phase.c_str(), r.metric.c_str(), r.grid, r.cold_ms, r.warm_ms,
-        r.extra, i + 1 < records.size() ? "," : "");
+        i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -158,10 +122,6 @@ void Run() {
                 resolution, &records);
   RunSweepPhase(dataset, Metric::kL2, l2_clients, l2_clients / 25, resolution,
                 &records);
-  RunEditPhase(dataset, Metric::kLInf, linf_clients, linf_clients / 100,
-               resolution, /*grid=*/4, &records);
-  RunEditPhase(dataset, Metric::kL2, l2_clients, l2_clients / 25, resolution,
-               /*grid=*/4, &records);
   WriteJson(records);
 }
 

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/check.h"
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RNNHM_PACK_SSE2 1
 #include <emmintrin.h>
@@ -130,20 +128,6 @@ HeatmapGrid PackedGrid::Unpack() const {
   if (!is_counts()) return HeatmapGrid(width_, height_, domain_, values_);
   return HeatmapGrid(width_, height_, domain_,
                      std::vector<double>(counts_.begin(), counts_.end()));
-}
-
-void PackedGrid::WidenInto(int col_lo, int row_lo, HeatmapGrid* out) const {
-  RNNHM_CHECK(col_lo >= 0 && row_lo >= 0 && col_lo + width_ <= out->width() &&
-              row_lo + height_ <= out->height());
-  for (int j = 0; j < height_; ++j) {
-    double* dst = out->Row(row_lo + j) + col_lo;
-    const size_t at = static_cast<size_t>(j) * width_;
-    if (is_counts()) {
-      std::copy(counts_.begin() + at, counts_.begin() + at + width_, dst);
-    } else {
-      std::copy(values_.begin() + at, values_.begin() + at + width_, dst);
-    }
-  }
 }
 
 }  // namespace rnnhm

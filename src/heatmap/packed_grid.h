@@ -47,10 +47,6 @@ class PackedGrid {
   /// The grid as doubles, bit-identical to the grid that was packed.
   HeatmapGrid Unpack() const;
 
-  /// Writes every pixel (i, j) of this grid to out->At(col_lo + i,
-  /// row_lo + j); the window must lie inside `out`.
-  void WidenInto(int col_lo, int row_lo, HeatmapGrid* out) const;
-
  private:
   PackedGrid(const HeatmapGrid& shape, std::vector<uint16_t> counts,
              std::vector<double> values);

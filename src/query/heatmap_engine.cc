@@ -54,14 +54,6 @@ std::shared_ptr<CircleSetRegistry> MakeRegistry(
 // a hostile by-tile request from allocating millions of tile windows.
 constexpr int kMaxTileGridSide = 1024;
 
-// The per-tile cache key: the tile's circle-subset hash plus its pixel
-// window inside the full raster (see SweepCacheKey).
-SweepCacheKey TileKey(uint64_t subset_hash, const Rect& domain, int width,
-                      int height, const TileWindow& w) {
-  return SweepCacheKey{subset_hash, domain, width,    height,
-                       w.col_lo,    w.col_hi, w.row_lo, w.row_hi};
-}
-
 // The response counters of a kernel run (the mapping query/wire.h
 // documents): the fields every metric shares; sweep-only counters stay 0.
 void AddKernelStats(Metric metric, const ColumnRasterStats& s,
@@ -79,23 +71,6 @@ void AddKernelStats(Metric metric, const ColumnRasterStats& s,
     crest.num_events += s.num_chords;
     crest.num_labelings += s.num_evaluations;
   }
-}
-
-void AccumulateCrest(CrestStats* into, const CrestStats& s) {
-  into->num_circles += s.num_circles;
-  into->num_skipped_circles += s.num_skipped_circles;
-  into->num_events += s.num_events;
-  into->num_labelings += s.num_labelings;
-  into->num_merged_intervals += s.num_merged_intervals;
-  into->num_elements_walked += s.num_elements_walked;
-}
-
-void AccumulateL2(CrestL2Stats* into, const CrestL2Stats& s) {
-  into->num_circles += s.num_circles;
-  into->num_skipped_circles += s.num_skipped_circles;
-  into->num_events += s.num_events;
-  into->num_cross_events += s.num_cross_events;
-  into->num_labelings += s.num_labelings;
 }
 
 }  // namespace
@@ -295,54 +270,6 @@ Status HeatmapEngine::ServeChecked(const HeatmapRequestV2& request,
   return Status::Ok();
 }
 
-HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
-                                            int tile_rows, int tile_cols,
-                                            TiledServeStats* tile_stats) const {
-  RNNHM_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1,
-                  "ExecuteTiled needs a positive tile grid");
-  const ResolvedRequest resolved = Resolve(request);
-  const CircleSetSnapshot& set = *resolved.set;
-  const TilePlan plan(set.metric(), set.circles(), resolved.domain,
-                      resolved.width, resolved.height,
-                      TilePlanOptions{tile_rows, tile_cols});
-  HeatmapResponse out{HeatmapGrid(resolved.width, resolved.height,
-                                  resolved.domain, measure_.Evaluate({})),
-                      {},
-                      {},
-                      /*from_cache=*/cache_ != nullptr,
-                      {}};
-  TiledServeStats tstats;
-  tstats.tiles = tile_rows * tile_cols;
-  for (const Tile& t : plan.tiles()) {
-    if (t.window.empty() || t.circles.empty()) {
-      // Pure background: the untiled sweep paints these pixels (if any)
-      // with measure(∅), which the output grid already holds.
-      ++tstats.background_tiles;
-      continue;
-    }
-    Served fragment = ServeTileFragment(plan, t, set.metric(), resolved.domain,
-                                        resolved.width, resolved.height);
-    if (fragment.wide.has_value()) {
-      TilePlan::StitchFragment(t.window, *fragment.wide, &out.grid);
-    } else {
-      fragment.packed.grid->WidenInto(t.window.col_lo, t.window.row_lo,
-                                      &out.grid);
-    }
-    AccumulateCrest(&out.stats, fragment.packed.stats);
-    AccumulateL2(&out.l2_stats, fragment.packed.l2_stats);
-    if (fragment.packed.from_cache) {
-      ++tstats.cached_tiles;
-    } else {
-      ++tstats.swept_tiles;
-      out.from_cache = false;
-    }
-  }
-  if (cache_ == nullptr) out.from_cache = false;
-  out.cache = cache_stats();
-  if (tile_stats != nullptr) *tile_stats = tstats;
-  return out;
-}
-
 Status HeatmapEngine::ExecuteTileFragmentChecked(
     const HeatmapRequestV2& request, int tile_rows, int tile_cols,
     int tile_id, std::optional<HeatmapResponse>* response) const {
@@ -379,16 +306,23 @@ Status HeatmapEngine::ServeTileFragmentChecked(
     return Status::NotFound("handle is not registered with this engine");
   }
   try {
-    const TilePlan plan(set->metric(), set->circles(), request.domain,
-                        request.width, request.height,
-                        TilePlanOptions{tile_rows, tile_cols});
-    const Tile& t = plan.tiles()[tile_id];
-    if (t.window.empty()) {
+    const std::vector<TileWindow> windows = TileWindows(
+        request.domain, request.width, request.height, tile_rows, tile_cols);
+    const TileWindow& window = windows[tile_id];
+    if (window.empty()) {
       return Status::InvalidArgument(
           "tile window is empty at this resolution");
     }
-    Served served = ServeTileFragment(plan, t, set->metric(), request.domain,
-                                      request.width, request.height);
+    // Painted, never cached: a fragment entry only pays if its key
+    // survives edits outside the tile, and such a key (a hash of the
+    // tile's circle subset) costs more to build than the window paint.
+    ColumnRasterStats stats;
+    HeatmapGrid fragment = PaintTileFragment(
+        set->metric(), set->circles(), measure_, options_.slabs_per_request,
+        request.domain, request.width, request.height, window, &stats);
+    Served served{std::move(fragment), {}};
+    AddKernelStats(set->metric(), stats, &served.packed);
+    served.packed.cache = cache_stats();
     std::move(served).MoveInto(response);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
@@ -481,33 +415,6 @@ Status HeatmapEngine::ServeDeltaChecked(
     return Status::Internal("sweep failed");
   }
   return Status::Ok();
-}
-
-HeatmapEngine::Served HeatmapEngine::ServeTileFragment(
-    const TilePlan& plan, const Tile& t, Metric metric, const Rect& domain,
-    int width, int height) const {
-  const int blocks = options_.slabs_per_request;
-  if (t.circles.empty()) {
-    // Background fragment: nothing to paint, nothing worth caching.
-    Served background{plan.SweepTileFragment(t, measure_, blocks), {}};
-    background.packed.cache = cache_stats();
-    return background;
-  }
-  std::vector<NnCircle> subset = plan.GatherCircles(t);
-  const SweepCacheKey key =
-      TileKey(HashCircleSet(subset, metric), domain, width, height, t.window);
-  if (cache_ != nullptr) {
-    std::optional<PackedHeatmapResponse> hit =
-        cache_->Lookup(key, subset, metric);
-    if (hit.has_value()) return Served{std::nullopt, std::move(*hit)};
-  }
-  ColumnRasterStats stats;
-  Served served{plan.SweepTileFragment(t, measure_, blocks, &stats), {}};
-  AddKernelStats(metric, stats, &served.packed);
-  if (cache_ != nullptr) {
-    Admit(key, CircleSetSnapshot::Make(std::move(subset), metric), &served);
-  }
-  return served;
 }
 
 HeatmapEngine::Served HeatmapEngine::Serve(

@@ -67,8 +67,6 @@ namespace rnnhm {
 
 class SweepCache;
 struct SweepCacheKey;
-class TilePlan;
-struct Tile;
 
 /// One heat-map computation: rasterize the influence field of `circles`
 /// (NN-circles built under `metric`) over `domain` at `width` x `height`,
@@ -112,18 +110,6 @@ struct SweepCacheStats {
   uint64_t evictions = 0;   ///< entries dropped by the LRU/byte budget
   size_t entries = 0;       ///< resident entries
   size_t bytes = 0;         ///< resident bytes (grids + keys)
-};
-
-/// Per-request accounting of one ExecuteTiled call: how each tile of the
-/// R x C grid was served. `background_tiles` covers tiles with an empty
-/// pixel window or no assigned circles (their pixels are pure background
-/// and need no sweep and no cache entry); the rest are fragments served
-/// from the SweepCache (`cached_tiles`) or recomputed (`swept_tiles`).
-struct TiledServeStats {
-  int tiles = 0;             ///< tile_rows * tile_cols
-  int background_tiles = 0;  ///< empty window or empty circle subset
-  int cached_tiles = 0;      ///< fragments served from the cache
-  int swept_tiles = 0;       ///< fragments recomputed by a sweep
 };
 
 /// The finished raster plus the kernel's counters: `stats` for kLInf and
@@ -227,28 +213,14 @@ class HeatmapEngine {
   /// the circle data is only ever shared, never duplicated.
   HeatmapResponse Execute(const HeatmapRequestV2& request) const;
 
-  /// Computes one v2 request through the domain-tiling path
-  /// (tile/tile_plan.h): the raster is split into a tile_rows x tile_cols
-  /// grid, each tile paints just the circles whose influence can reach it,
-  /// and the stitched result is bit-identical to Execute on the same
-  /// request. With caching enabled, each tile's *fragment* is memoized
-  /// under the hash of the tile's circle subset plus its pixel window —
-  /// so after an edit, only the tiles the edited circle's influence
-  /// region overlaps miss (their subset hash changed) and every other
-  /// tile restitches from the cache, composing with the 2D dirty-rect
-  /// machinery of the delta path at tile granularity. `tile_stats`, when
-  /// non-null, reports how each tile was served. CHECK-fails on invalid
-  /// geometry, an unregistered handle, or a non-positive tile grid.
-  HeatmapResponse ExecuteTiled(const HeatmapRequestV2& request, int tile_rows,
-                               int tile_cols,
-                               TiledServeStats* tile_stats = nullptr) const;
-
-  /// The serving-stack by-tile shard path: computes the single tile
+  /// The serving-stack by-tile shard path: paints the single tile
   /// `tile_id` (row-major, in [0, tile_rows * tile_cols)) of the tiled
-  /// decomposition of `request` and returns its *fragment* — a grid of
-  /// the tile's window size whose cell (i, j) is global pixel
-  /// (window.col_lo + i, window.row_lo + j). Fragments are memoized under
-  /// the same per-tile keys ExecuteTiled uses. Every failure is a Status:
+  /// decomposition of `request` (tile/tile_plan.h) and returns its
+  /// *fragment* — a grid of the window TileWindows(...)[tile_id] whose
+  /// cell (i, j) is global pixel (window.col_lo + i, window.row_lo + j),
+  /// painted over the whole resolved set, so stitched fragments are
+  /// bit-identical to Execute. Fragments are never cached: the response
+  /// carries the cache counters unchanged. Every failure is a Status:
   /// kInvalidArgument for bad geometry, a bad tile grid (bounds are
   /// wire-facing: at most 1024 x 1024 tiles), a tile id outside the grid,
   /// or an empty tile window (route only non-empty windows); kNotFound
@@ -347,11 +319,6 @@ class HeatmapEngine {
   // The uncached sweep (cache miss path).
   Served Sweep(const std::vector<NnCircle>& circles, Metric metric,
                const Rect& domain, int width, int height) const;
-  // One tile's fragment: cache probe under the per-tile key (subset hash +
-  // pixel window), fragment sweep on a miss, admit. Requires a non-empty
-  // window; an empty circle subset yields an uncached background fragment.
-  Served ServeTileFragment(const TilePlan& plan, const Tile& t, Metric metric,
-                           const Rect& domain, int width, int height) const;
   // Packs a freshly painted map once and admits it under `key`; the cache
   // entry and `*served` share the packed grid.
   void Admit(const SweepCacheKey& key,

@@ -59,10 +59,6 @@ uint64_t SweepCache::Fingerprint(const SweepCacheKey& key) {
   HashDouble(&h, key.domain.hi.y);
   HashBytes(&h, &key.width, sizeof(key.width));
   HashBytes(&h, &key.height, sizeof(key.height));
-  HashBytes(&h, &key.tile_col_lo, sizeof(key.tile_col_lo));
-  HashBytes(&h, &key.tile_col_hi, sizeof(key.tile_col_hi));
-  HashBytes(&h, &key.tile_row_lo, sizeof(key.tile_row_lo));
-  HashBytes(&h, &key.tile_row_hi, sizeof(key.tile_row_hi));
   return h;
 }
 

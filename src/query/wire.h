@@ -220,8 +220,12 @@ std::optional<WireDeltaRequest> DecodeDeltaRequest(
 // peer computes the same windows from the same request fields (they are a
 // pure function of the geometry), so a router can stitch fragments from
 // different shards into the full raster, bit-identical to an untiled
-// Execute. The header shares the plain request's prefix through set_hash,
-// so hash-routing peeks work unchanged on tile frames.
+// Execute. A server paints each fragment over the whole circle set
+// (PaintTileFragment) and never caches it, so a fragment's raster
+// counters count every circle of the set, and its cache counters are the
+// server's, unchanged by the fragment. The header shares the plain
+// request's prefix through set_hash, so hash-routing peeks work unchanged
+// on tile frames.
 
 /// Ceiling on the tile grid a server accepts from the wire, per side
 /// (mirrors the engine's ExecuteTileFragmentChecked bound).

@@ -223,7 +223,7 @@ void FoldTileFragment(RouterSlot& slot, int32_t tile_id,
                  "tile fragment has the wrong window size");
     return;
   }
-  TilePlan::StitchFragment(window, fragment.grid, &*slot.tile_grid);
+  StitchFragment(window, fragment.grid, &*slot.tile_grid);
   slot.tile_stats.num_circles += fragment.stats.num_circles;
   slot.tile_stats.num_skipped_circles += fragment.stats.num_skipped_circles;
   slot.tile_stats.num_events += fragment.stats.num_events;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "index/rtree.h"
 
 namespace rnnhm {
 
@@ -51,101 +50,35 @@ std::vector<TileWindow> TileWindows(const Rect& domain, int width, int height,
   return windows;
 }
 
-TilePlan::TilePlan(Metric metric, std::span<const NnCircle> circles,
-                   const Rect& domain, int width, int height,
-                   const TilePlanOptions& options)
-    : metric_(metric),
-      circles_(circles),
-      domain_(domain),
-      width_(width),
-      height_(height),
-      rows_(options.rows),
-      cols_(options.cols) {
-  const std::vector<TileWindow> windows =
-      TileWindows(domain, width, height, rows_, cols_);
-  tiles_.resize(windows.size());
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      Tile& t = tiles_[r * cols_ + c];
-      t.row = r;
-      t.col = c;
-      t.window = windows[r * cols_ + c];
-    }
-  }
-
-  const PixelAxis cols_axis = ColumnAxis(domain, width);
-  const PixelAxis rows_axis = RowAxis(domain, height);
-  std::vector<Rect> bounds;
-  bounds.reserve(circles.size());
-  for (const NnCircle& c : circles) bounds.push_back(c.Bounds());
-  RTree rtree;
-  rtree.BulkLoad(bounds);
-  for (Tile& t : tiles_) {
-    if (t.window.empty()) continue;
-    // Closed extent of the tile's pixel centers: any circle containing
-    // one of those centers has a bounding box intersecting it.
-    const Rect query{{cols_axis.centers()[t.window.col_lo],
-                      rows_axis.centers()[t.window.row_lo]},
-                     {cols_axis.centers()[t.window.col_hi - 1],
-                      rows_axis.centers()[t.window.row_hi - 1]}};
-    rtree.Query(query, [&t](int32_t id) { t.circles.push_back(id); });
-    std::sort(t.circles.begin(), t.circles.end());
-  }
-}
-
-std::vector<NnCircle> TilePlan::GatherCircles(const Tile& t) const {
-  std::vector<NnCircle> subset;
-  subset.reserve(t.circles.size());
-  for (const int32_t id : t.circles) subset.push_back(circles_[id]);
-  return subset;
-}
-
-void TilePlan::SweepWindowed(const Tile& t, const InfluenceMeasure& measure,
-                             int num_blocks, HeatmapGrid* target,
-                             int origin_col, int origin_row,
-                             ColumnRasterStats* stats) const {
-  if (t.window.empty() || t.circles.empty()) return;  // background is correct
-  const std::vector<NnCircle> subset = GatherCircles(t);
-  const std::vector<const InfluenceMeasure*> measures(num_blocks, &measure);
-  const ColumnRasterStats s = RasterizeColumns(
-      metric_, subset, measures, ColumnAxis(domain_, width_),
-      RowAxis(domain_, height_), t.window, origin_col, origin_row, target);
-  if (stats != nullptr) *stats += s;
-}
-
-void TilePlan::SweepTileInto(const Tile& t, const InfluenceMeasure& measure,
-                             int num_blocks, HeatmapGrid* out,
-                             ColumnRasterStats* stats) const {
-  RNNHM_CHECK(out->width() == width_ && out->height() == height_);
-  SweepWindowed(t, measure, num_blocks, out, /*origin_col=*/0,
-                /*origin_row=*/0, stats);
-}
-
-HeatmapGrid TilePlan::SweepTileFragment(const Tile& t,
-                                        const InfluenceMeasure& measure,
-                                        int num_blocks,
-                                        ColumnRasterStats* stats) const {
-  const TileWindow& w = t.window;
+HeatmapGrid PaintTileFragment(Metric metric, std::span<const NnCircle> circles,
+                              const InfluenceMeasure& measure, int num_blocks,
+                              const Rect& domain, int width, int height,
+                              const TileWindow& w, ColumnRasterStats* stats) {
   RNNHM_CHECK_MSG(!w.empty(), "empty tiles have no fragment");
   // The fragment's own domain is decorative (painting goes through the
   // global axes); use the tile's coordinate cell when it is representable,
   // else fall back to the full domain.
-  const double dx = (domain_.hi.x - domain_.lo.x) / width_;
-  const double dy = (domain_.hi.y - domain_.lo.y) / height_;
-  Rect frag_domain{{domain_.lo.x + w.col_lo * dx, domain_.lo.y + w.row_lo * dy},
-                   {domain_.lo.x + w.col_hi * dx, domain_.lo.y + w.row_hi * dy}};
+  const double dx = (domain.hi.x - domain.lo.x) / width;
+  const double dy = (domain.hi.y - domain.lo.y) / height;
+  Rect frag_domain{{domain.lo.x + w.col_lo * dx, domain.lo.y + w.row_lo * dy},
+                   {domain.lo.x + w.col_hi * dx, domain.lo.y + w.row_hi * dy}};
   if (!(frag_domain.lo.x < frag_domain.hi.x &&
         frag_domain.lo.y < frag_domain.hi.y)) {
-    frag_domain = domain_;
+    frag_domain = domain;
   }
   HeatmapGrid fragment(w.width(), w.height(), frag_domain,
                        measure.Evaluate({}));
-  SweepWindowed(t, measure, num_blocks, &fragment, w.col_lo, w.row_lo, stats);
+  const std::vector<const InfluenceMeasure*> measures(num_blocks, &measure);
+  const PixelAxis cols = ColumnAxis(domain, width);
+  const PixelAxis rows = RowAxis(domain, height);
+  const ColumnRasterStats s = RasterizeColumns(
+      metric, circles, measures, cols, rows, w, w.col_lo, w.row_lo, &fragment);
+  if (stats != nullptr) *stats += s;
   return fragment;
 }
 
-void TilePlan::StitchFragment(const TileWindow& window,
-                              const HeatmapGrid& fragment, HeatmapGrid* out) {
+void StitchFragment(const TileWindow& window, const HeatmapGrid& fragment,
+                    HeatmapGrid* out) {
   RNNHM_CHECK(fragment.width() == window.width() &&
               fragment.height() == window.height());
   RNNHM_CHECK(window.col_hi <= out->width() && window.row_hi <= out->height());
@@ -154,15 +87,6 @@ void TilePlan::StitchFragment(const TileWindow& window,
     double* dst = out->Row(window.row_lo + j) + window.col_lo;
     std::copy(src, src + fragment.width(), dst);
   }
-}
-
-HeatmapGrid TilePlan::Run(const InfluenceMeasure& measure, int num_blocks,
-                          ColumnRasterStats* stats) const {
-  HeatmapGrid out(width_, height_, domain_, measure.Evaluate({}));
-  for (const Tile& t : tiles_) {
-    SweepTileInto(t, measure, num_blocks, &out, stats);
-  }
-  return out;
 }
 
 }  // namespace rnnhm

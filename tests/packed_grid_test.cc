@@ -162,21 +162,6 @@ TEST(PackedGridTest, EncodingThePackedFormGivesTheSameBytes) {
   }
 }
 
-TEST(PackedGridTest, WidenIntoWritesOnlyItsWindow) {
-  for (const double corner : {7.0, 0.25}) {  // counts, then doubles
-    const PackedGrid packed =
-        PackedGrid::Pack(GridOf(2, 2, {1.0, 2.0, 3.0, corner}));
-    HeatmapGrid out(4, 3, Rect{{0, 0}, {1, 1}}, -1.0);
-    packed.WidenInto(1, 1, &out);
-    HeatmapGrid want(4, 3, Rect{{0, 0}, {1, 1}}, -1.0);
-    want.At(1, 1) = 1.0;
-    want.At(2, 1) = 2.0;
-    want.At(1, 2) = 3.0;
-    want.At(2, 2) = corner;
-    EXPECT_TRUE(SameBits(out.values(), want.values()));
-  }
-}
-
 // --- One map, every serving path ------------------------------------------
 
 std::vector<NnCircle> MakeCircles(uint64_t seed, int n) {
@@ -234,8 +219,7 @@ std::vector<uint8_t> RouterStitchedGridBytes(const HeatmapEngine& engine,
     const std::optional<WireResponse> decoded =
         DecodeResponse(EncodeResponse(*fragment), &error);
     EXPECT_TRUE(decoded.has_value()) << error;
-    TilePlan::StitchFragment(windows[tile], decoded->response->grid,
-                             &stitched);
+    StitchFragment(windows[tile], decoded->response->grid, &stitched);
   }
   return GridBytes(
       EncodeResponse(HeatmapResponse{std::move(stitched), {}, {}, false, {}}));

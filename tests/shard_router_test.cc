@@ -56,6 +56,11 @@ class RouterHarness {
  public:
   ~RouterHarness() {
     if (router_ != nullptr && thread_.joinable()) Stop();
+    // The router's front listener unlinks front.sock and the fleet's
+    // shutdown its shard sockets; the directory itself is the harness's.
+    router_.reset();
+    fleet_.Shutdown();
+    if (!options_.socket_dir.empty()) ::rmdir(options_.socket_dir.c_str());
   }
 
   /// tile_rows > 0 switches the router into by-tile mode with that grid.

@@ -1,19 +1,23 @@
 // Tile differential harness: the acceptance gate for domain tiling
-// (src/tile/tile_plan.h). For every tested tile grid, metric, and slab
-// count, the tiled sweep's stitched raster must be *bit-identical* to the
-// untiled slab-parallel builder's — including workloads with circles
-// spanning four or more tiles, circles larger than a tile, entirely empty
-// tiles, tile boundaries landing exactly on pixel centers, and a domain
-// whose extent is not exactly representable (the seam-risk regression:
-// boundaries must come from PixelAxis::LowerBound, never independent float
-// math). Runs under the `differential` CTest label, so the whole file is
-// re-run with RNNHM_DISABLE_SIMD=1.
+// (src/tile/tile_plan.h). For every tested tile grid, metric, and block
+// count, the windows of TileWindows painted as fragments
+// (PaintTileFragment, i.e. RasterizeColumns over the whole circle set) and
+// stitched (StitchFragment) must be *bit-identical* to the untiled
+// builder's raster — including workloads with circles spanning four or
+// more tiles, circles larger than a tile, entirely empty tiles, tile
+// boundaries landing exactly on pixel centers, and a domain whose extent
+// is not exactly representable (the seam-risk regression: boundaries
+// must come from PixelAxis::LowerBound, never independent float math).
+// Runs under the `differential` CTest label, so the whole file is re-run
+// with RNNHM_DISABLE_SIMD=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "heatmap/column_raster.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
 #include "query/heatmap_engine.h"
@@ -64,6 +68,41 @@ HeatmapGrid Untiled(Metric metric, const std::vector<NnCircle>& circles,
   }
 }
 
+// The raster painted window by window and stitched: what `heatmap --tiles`
+// and a by-tile router produce.
+HeatmapGrid Tiled(Metric metric, const std::vector<NnCircle>& circles,
+                  const InfluenceMeasure& measure, const Rect& domain,
+                  int width, int height, const TileGrid& g, int num_blocks) {
+  HeatmapGrid stitched(width, height, domain, measure.Evaluate({}));
+  for (const TileWindow& w :
+       TileWindows(domain, width, height, g.rows, g.cols)) {
+    if (w.empty()) continue;
+    const HeatmapGrid fragment = PaintTileFragment(
+        metric, circles, measure, num_blocks, domain, width, height, w);
+    StitchFragment(w, fragment, &stitched);
+  }
+  return stitched;
+}
+
+// The number of tile windows of `g` in which `circles` paint at least one
+// pixel away from the background.
+int TilesReached(Metric metric, const std::vector<NnCircle>& circles,
+                 const Rect& domain, int width, int height, const TileGrid& g) {
+  SizeInfluence measure;
+  int reached = 0;
+  for (const TileWindow& w :
+       TileWindows(domain, width, height, g.rows, g.cols)) {
+    if (w.empty()) continue;
+    const HeatmapGrid fragment = PaintTileFragment(
+        metric, circles, measure, 1, domain, width, height, w);
+    const std::vector<double>& v = fragment.values();
+    if (std::any_of(v.begin(), v.end(), [](double x) { return x != 0.0; })) {
+      ++reached;
+    }
+  }
+  return reached;
+}
+
 void ExpectTiledMatchesUntiled(const std::vector<NnCircle>& circles,
                                const Rect& domain, int width, int height) {
   SizeInfluence measure;
@@ -71,10 +110,9 @@ void ExpectTiledMatchesUntiled(const std::vector<NnCircle>& circles,
     const HeatmapGrid reference =
         Untiled(metric, circles, measure, domain, width, height, 1);
     for (const TileGrid& g : kTileGrids) {
-      const TilePlan plan(metric, circles, domain, width, height,
-                          TilePlanOptions{g.rows, g.cols});
       for (const int slabs : kSlabCounts) {
-        const HeatmapGrid tiled = plan.Run(measure, slabs);
+        const HeatmapGrid tiled =
+            Tiled(metric, circles, measure, domain, width, height, g, slabs);
         EXPECT_EQ(reference.values(), tiled.values())
             << CaseName(metric, g, slabs);
       }
@@ -101,17 +139,8 @@ TEST(TileDifferentialTest, CirclesSpanningManyTiles) {
   circles.push_back(NnCircle{{0.5, 0.5}, 0.45, 30});
   circles.push_back(NnCircle{{0.34, 0.61}, 0.4, 31});
   const Rect domain{{0.0, 0.0}, {1.1, 1.1}};
-  const TilePlan plan(Metric::kLInf, circles, domain, 48, 48,
-                      TilePlanOptions{3, 3});
-  int tiles_with_giant = 0;
-  for (const Tile& t : plan.tiles()) {
-    for (const int32_t id : t.circles) {
-      if (id == 30) {
-        ++tiles_with_giant;
-        break;
-      }
-    }
-  }
+  const int tiles_with_giant =
+      TilesReached(Metric::kLInf, {circles[30]}, domain, 48, 48, {3, 3});
   EXPECT_GE(tiles_with_giant, 4);
   ExpectTiledMatchesUntiled(circles, domain, 48, 48);
 }
@@ -126,12 +155,8 @@ TEST(TileDifferentialTest, EmptyTiles) {
                                rng.Uniform(0.01, 0.05), i});
   }
   const Rect domain{{0.0, 0.0}, {1.0, 1.0}};
-  const TilePlan plan(Metric::kL2, circles, domain, 48, 48,
-                      TilePlanOptions{3, 3});
-  int empty_tiles = 0;
-  for (const Tile& t : plan.tiles()) {
-    if (t.circles.empty()) ++empty_tiles;
-  }
+  const int empty_tiles =
+      9 - TilesReached(Metric::kL2, circles, domain, 48, 48, {3, 3});
   EXPECT_GT(empty_tiles, 0);
   ExpectTiledMatchesUntiled(circles, domain, 48, 48);
 }
@@ -184,105 +209,38 @@ TEST(TileDifferentialTest, DegenerateRadii) {
   ExpectTiledMatchesUntiled(circles, domain, 40, 40);
 }
 
-// Fragment sweeps + stitching (the shard path) are the same bits as the
-// in-place tile sweep and the untiled sweep.
+// Fragments + stitching (the shard path) are the same bits as painting
+// each window in place into the full grid and as the untiled raster.
 TEST(TileDifferentialTest, FragmentStitchMatches) {
   const std::vector<NnCircle> circles = MakeCircles(808, 45, 0.02, 0.2);
   const Rect domain{{-0.02, -0.02}, {1.02, 1.02}};
   SizeInfluence measure;
+  const std::vector<const InfluenceMeasure*> measures(2, &measure);
   for (const Metric metric : kMetrics) {
     const HeatmapGrid reference =
         Untiled(metric, circles, measure, domain, 44, 44, 1);
-    const TilePlan plan(metric, circles, domain, 44, 44,
-                        TilePlanOptions{2, 3});
     HeatmapGrid stitched(44, 44, domain, measure.Evaluate({}));
-    for (const Tile& t : plan.tiles()) {
-      if (t.window.empty()) continue;
-      const HeatmapGrid fragment = plan.SweepTileFragment(t, measure, 2);
-      TilePlan::StitchFragment(t.window, fragment, &stitched);
+    HeatmapGrid in_place(44, 44, domain, measure.Evaluate({}));
+    for (const TileWindow& w : TileWindows(domain, 44, 44, 2, 3)) {
+      if (w.empty()) continue;
+      const HeatmapGrid fragment =
+          PaintTileFragment(metric, circles, measure, 2, domain, 44, 44, w);
+      StitchFragment(w, fragment, &stitched);
+      RasterizeColumns(metric, circles, measures, ColumnAxis(domain, 44),
+                       RowAxis(domain, 44), w, /*origin_col=*/0,
+                       /*origin_row=*/0, &in_place);
     }
     EXPECT_EQ(reference.values(), stitched.values()) << MetricName(metric);
+    EXPECT_EQ(reference.values(), in_place.values()) << MetricName(metric);
   }
-}
-
-// HeatmapEngine::ExecuteTiled serves the same bits as Execute for every
-// metric and tile grid, and a repeat request restitches entirely from the
-// per-tile fragment cache.
-TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
-  SizeInfluence measure;
-  HeatmapEngineOptions options;
-  options.num_threads = 1;
-  options.slabs_per_request = 2;
-  options.cache_bytes = 16ull << 20;
-  HeatmapEngine engine(measure, options);
-  const Rect domain{{-0.05, -0.05}, {1.05, 1.05}};
-  for (const Metric metric : kMetrics) {
-    const CircleSetHandle handle = engine.registry().Register(
-        MakeCircles(909 + static_cast<int>(metric), 40, 0.02, 0.15), metric);
-    const HeatmapRequestV2 request{handle, domain, 40, 40};
-    const HeatmapResponse reference = engine.Execute(request);
-    for (const TileGrid& g : kTileGrids) {
-      TiledServeStats first_stats;
-      const HeatmapResponse tiled =
-          engine.ExecuteTiled(request, g.rows, g.cols, &first_stats);
-      EXPECT_EQ(reference.grid.values(), tiled.grid.values())
-          << CaseName(metric, g, 2);
-      EXPECT_EQ(first_stats.tiles, g.rows * g.cols);
-      // Same request again: every fragment must come back from the cache.
-      TiledServeStats repeat_stats;
-      const HeatmapResponse repeat =
-          engine.ExecuteTiled(request, g.rows, g.cols, &repeat_stats);
-      EXPECT_EQ(reference.grid.values(), repeat.grid.values());
-      EXPECT_TRUE(repeat.from_cache) << CaseName(metric, g, 2);
-      EXPECT_EQ(repeat_stats.swept_tiles, 0) << CaseName(metric, g, 2);
-      EXPECT_EQ(repeat_stats.cached_tiles, first_stats.swept_tiles);
-    }
-  }
-}
-
-// The tile-granular cache keys: editing one corner circle only invalidates
-// the tiles its influence region overlaps — every other tile's fragment is
-// served from the cache, and the stitched result still matches a fresh
-// Execute of the edited set.
-TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
-  SizeInfluence measure;
-  HeatmapEngineOptions options;
-  options.num_threads = 1;
-  options.cache_bytes = 16ull << 20;
-  HeatmapEngine engine(measure, options);
-  const Rect domain{{0.0, 0.0}, {1.0, 1.0}};
-  // Small radii spread across the whole domain: most 4x4 tiles have
-  // circles, and a corner circle's influence stays inside a few tiles.
-  std::vector<NnCircle> circles = MakeCircles(1010, 64, 0.01, 0.05);
-  circles.push_back(NnCircle{{0.04, 0.05}, 0.03, 64});
-  const CircleSetHandle base =
-      engine.registry().Register(circles, Metric::kLInf);
-  const HeatmapRequestV2 request{base, domain, 48, 48};
-  TiledServeStats cold;
-  const HeatmapResponse tiled_base = engine.ExecuteTiled(request, 4, 4, &cold);
-  EXPECT_EQ(engine.Execute(request).grid.values(), tiled_base.grid.values());
-  ASSERT_GT(cold.swept_tiles, 8);  // the population reaches most tiles
-
-  // Nudge the corner circle: only tile (0, 0) (and at most its immediate
-  // neighbors) see a different circle subset.
-  circles.back().center = {0.06, 0.04};
-  const CircleSetHandle edited =
-      engine.registry().Register(circles, Metric::kLInf);
-  const HeatmapRequestV2 edited_request{edited, domain, 48, 48};
-  TiledServeStats warm;
-  const HeatmapResponse tiled_edited =
-      engine.ExecuteTiled(edited_request, 4, 4, &warm);
-  EXPECT_EQ(engine.Execute(edited_request).grid.values(),
-            tiled_edited.grid.values());
-  EXPECT_GE(warm.swept_tiles, 1);  // the overlapped corner tile resweeps
-  EXPECT_LE(warm.swept_tiles, 4);  // ... and only its immediate neighborhood
-  EXPECT_EQ(warm.cached_tiles + warm.swept_tiles + warm.background_tiles, 16);
-  EXPECT_GT(warm.cached_tiles, warm.swept_tiles);
 }
 
 // The shard-facing fragment path: ExecuteTileFragmentChecked returns
-// window-sized fragments that stitch into the Execute raster, and rejects
-// bad tile ids and empty windows with a Status instead of a crash.
+// window-sized fragments that stitch into the Execute raster for every
+// metric — also around a circle whose bounding box crosses into a
+// neighbouring tile without containing any of its pixel centers — never
+// touches the cache, and rejects bad tile ids and empty windows with a
+// Status instead of a crash.
 TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
   SizeInfluence measure;
   HeatmapEngineOptions options;
@@ -290,24 +248,59 @@ TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
   options.cache_bytes = 8ull << 20;
   HeatmapEngine engine(measure, options);
   const Rect domain{{-0.02, -0.02}, {1.02, 1.02}};
+  constexpr int kSize = 44;
+  const std::vector<TileWindow> windows =
+      TileWindows(domain, kSize, kSize, 2, 3);
+
+  // A circle three pixels wide whose box ends a quarter pitch past the
+  // left edge of tile 1, short of that tile's first column of centers.
+  const PixelAxis cols = ColumnAxis(domain, kSize);
+  const PixelAxis rows = RowAxis(domain, kSize);
+  const double pitch = (domain.hi.x - domain.lo.x) / kSize;
+  const int edge_col = windows[1].col_lo;
+  const int mid_row = (windows[1].row_lo + windows[1].row_hi) / 2;
+  const double radius = 3 * pitch;
+  NnCircle straddler;
+  straddler.center.x = cols.centers()[edge_col] - 0.25 * pitch - radius;
+  straddler.center.y = rows.centers()[mid_row];
+  straddler.radius = radius;
+  straddler.client = 45;
+  ASSERT_GT(straddler.Bounds().hi.x, domain.lo.x + edge_col * pitch);
+
+  for (const Metric metric : kMetrics) {
+    const std::string what = MetricName(metric);
+    for (int j = windows[1].row_lo; j < windows[1].row_hi; ++j) {
+      for (int i = windows[1].col_lo; i < windows[1].col_hi; ++i) {
+        const Point center{cols.centers()[i], rows.centers()[j]};
+        ASSERT_FALSE(straddler.Contains(center, metric)) << what;
+      }
+    }
+    std::vector<NnCircle> circles = MakeCircles(1111, 45, 0.02, 0.2);
+    circles.push_back(straddler);
+    const CircleSetHandle handle =
+        engine.registry().Register(std::move(circles), metric);
+    const HeatmapRequestV2 request{handle, domain, kSize, kSize};
+    const HeatmapResponse reference = engine.Execute(request);
+    const size_t entries = engine.cache_stats().entries;
+    HeatmapGrid stitched(kSize, kSize, domain, measure.Evaluate({}));
+    for (int tile_id = 0; tile_id < 6; ++tile_id) {
+      std::optional<HeatmapResponse> fragment;
+      ASSERT_TRUE(
+          engine.ExecuteTileFragmentChecked(request, 2, 3, tile_id, &fragment)
+              .ok());
+      ASSERT_TRUE(fragment.has_value());
+      EXPECT_FALSE(fragment->from_cache) << what;
+      EXPECT_EQ(fragment->grid.width(), windows[tile_id].width());
+      EXPECT_EQ(fragment->grid.height(), windows[tile_id].height());
+      StitchFragment(windows[tile_id], fragment->grid, &stitched);
+    }
+    EXPECT_EQ(reference.grid.values(), stitched.values()) << what;
+    EXPECT_EQ(engine.cache_stats().entries, entries) << what;
+  }
+
   const CircleSetHandle handle = engine.registry().Register(
       MakeCircles(1111, 45, 0.02, 0.2), Metric::kL2);
-  const HeatmapRequestV2 request{handle, domain, 44, 44};
-  const HeatmapResponse reference = engine.Execute(request);
-  const std::vector<TileWindow> windows = TileWindows(domain, 44, 44, 2, 3);
-  HeatmapGrid stitched(44, 44, domain, measure.Evaluate({}));
-  for (int tile_id = 0; tile_id < 6; ++tile_id) {
-    std::optional<HeatmapResponse> fragment;
-    ASSERT_TRUE(
-        engine.ExecuteTileFragmentChecked(request, 2, 3, tile_id, &fragment)
-            .ok());
-    ASSERT_TRUE(fragment.has_value());
-    EXPECT_EQ(fragment->grid.width(), windows[tile_id].width());
-    EXPECT_EQ(fragment->grid.height(), windows[tile_id].height());
-    TilePlan::StitchFragment(windows[tile_id], fragment->grid, &stitched);
-  }
-  EXPECT_EQ(reference.grid.values(), stitched.values());
-
+  const HeatmapRequestV2 request{handle, domain, kSize, kSize};
   std::optional<HeatmapResponse> fragment;
   EXPECT_FALSE(
       engine.ExecuteTileFragmentChecked(request, 2, 3, 6, &fragment).ok());

@@ -4,8 +4,9 @@
 // configuration asserts the two tiling invariants:
 //   1. ownership — TileWindows partitions the pixel space: every output
 //      pixel belongs to exactly one tile window;
-//   2. stitching — the tiled sweep is bit-identical to the untiled
-//      slab-parallel builder.
+//   2. stitching — the windows painted as fragments (PaintTileFragment:
+//      RasterizeColumns over the whole circle set) and stitched
+//      (StitchFragment) are bit-identical to the untiled builder.
 // Runs under the `differential` CTest label (and therefore again with
 // RNNHM_DISABLE_SIMD=1).
 #include <gtest/gtest.h>
@@ -48,7 +49,7 @@ FuzzConfig MakeConfig(uint64_t seed) {
   cfg.width = 1 + static_cast<int>(rng.NextBounded(48));
   cfg.height = 1 + static_cast<int>(rng.NextBounded(48));
   // Tile counts may exceed the resolution: that leaves some windows empty,
-  // which the plan must handle (ownership still covers every pixel).
+  // which the stitch skips (ownership still covers every pixel).
   cfg.tile_rows = 1 + static_cast<int>(rng.NextBounded(6));
   cfg.tile_cols = 1 + static_cast<int>(rng.NextBounded(6));
   constexpr int kSlabs[] = {1, 2, 4, 8};
@@ -131,10 +132,14 @@ TEST(TileFuzzTest, OwnershipAndStitchBitIdentity) {
     // Invariant 2: the stitched tiled raster is the untiled raster, bit
     // for bit.
     const HeatmapGrid reference = Untiled(cfg, measure);
-    const TilePlan plan(cfg.metric, cfg.circles, cfg.domain, cfg.width,
-                        cfg.height,
-                        TilePlanOptions{cfg.tile_rows, cfg.tile_cols});
-    const HeatmapGrid tiled = plan.Run(measure, cfg.num_slabs);
+    HeatmapGrid tiled(cfg.width, cfg.height, cfg.domain, measure.Evaluate({}));
+    for (const TileWindow& w : windows) {
+      if (w.empty()) continue;
+      const HeatmapGrid fragment =
+          PaintTileFragment(cfg.metric, cfg.circles, measure, cfg.num_slabs,
+                            cfg.domain, cfg.width, cfg.height, w);
+      StitchFragment(w, fragment, &tiled);
+    }
     ASSERT_EQ(reference.values(), tiled.values()) << what;
   }
 }

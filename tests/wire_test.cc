@@ -913,7 +913,7 @@ TEST(ServeStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
     ASSERT_EQ(decoded->response->grid.width(), windows[t].width());
     ASSERT_EQ(decoded->response->grid.height(), windows[t].height());
-    TilePlan::StitchFragment(windows[t], decoded->response->grid, &stitched);
+    StitchFragment(windows[t], decoded->response->grid, &stitched);
   }
   SizeInfluence reference_measure;
   HeatmapEngine reference(reference_measure, options);

@@ -5,19 +5,18 @@
 //       Write a synthetic data set as "x,y" CSV.
 //   heatmap --clients A.csv --facilities B.csv [--metric linf|l1|l2]
 //           [--size N] [--threads T] [--out map.ppm] [--ascii]
-//           [--cache BYTES] [--repeat N] [--tiles RxC]
+//           [--cache BYTES [--repeat N] | --tiles RxC]
 //       Build the RNN heat map (size measure) and export it. --threads
 //       paints that many column blocks in parallel, for every metric
 //       (bit-identical output for every thread count). --tiles
-//       partitions the domain into an R x C tile grid and paints each
-//       tile over just the circles that can influence it
+//       partitions the domain into an R x C grid of pixel windows,
+//       paints each window as its own fragment and stitches them
 //       (src/tile/tile_plan.h) — output bit-identical to the untiled
 //       raster for every grid. --cache
 //       routes the build through a HeatmapEngine with a result cache of
 //       that many bytes and runs it --repeat times (default 2),
-//       reporting cold/warm timings and hit counters; with --tiles the
-//       cache keys per-tile fragments, so warm iterations report
-//       tile-level hit counts.
+//       reporting cold/warm timings and hit counters; it cannot be
+//       combined with --tiles (fragments are never cached).
 //   replay --clients A.csv --facilities B.csv [--metric linf|l1|l2]
 //          [--size N] [--edits K] [--seed S] [--verify] [--out map.ppm]
 //       Edit-replay mode: start a HeatmapSession, apply K random edits
@@ -137,7 +136,7 @@ int Usage() {
       "  rnnhm_cli heatmap --clients A.csv --facilities B.csv\n"
       "            [--metric linf|l1|l2] [--size N] [--threads T] "
       "[--out map.ppm] [--ascii]\n"
-      "            [--cache BYTES] [--repeat N] [--tiles RxC]\n"
+      "            [--cache BYTES [--repeat N] | --tiles RxC]\n"
       "  rnnhm_cli replay --clients A.csv --facilities B.csv\n"
       "            [--metric linf|l1|l2] [--size N] [--edits K] [--seed S] "
       "[--verify] [--out map.ppm]\n"
@@ -317,44 +316,22 @@ int CmdHeatmap(const Args& args) {
       std::fprintf(stderr, "%s\n", tiles_error.c_str());
       return Usage();
     }
+    if (cache_bytes > 0) {
+      std::fprintf(stderr, "--tiles cannot be combined with --cache\n");
+      return Usage();
+    }
   }
   SizeInfluence measure;
   const Rect domain = BoundingBox(clients, 0.02);
   HeatmapGrid grid = [&] {
     if (cache_bytes > 0) {
       // Engine path: the result cache serves every byte-identical
-      // re-request (iterations 2..repeat) without sweeping. With --tiles
-      // the request decomposes into per-tile cached fragments, so the
-      // warm iterations report tile-level hit counts.
+      // re-request (iterations 2..repeat) without painting.
       HeatmapEngineOptions options;
       options.num_threads = 1;
       options.slabs_per_request = threads;
       options.cache_bytes = cache_bytes;
       HeatmapEngine engine(measure, options);
-      if (tile_rows > 0) {
-        const CircleSetHandle handle = engine.registry().Register(
-            BuildNnCircles(clients, facilities, metric), metric);
-        const HeatmapRequestV2 request{handle, domain, size, size};
-        HeatmapResponse last{HeatmapGrid(1, 1, Rect{{0, 0}, {1, 1}}),
-                             {}, {}, false, {}};
-        for (int i = 0; i < repeat; ++i) {
-          TiledServeStats tile_stats;
-          Stopwatch sw;
-          last = engine.ExecuteTiled(request, tile_rows, tile_cols,
-                                     &tile_stats);
-          std::printf("iteration %d: %.2f ms (%d tiles: %d swept, %d "
-                      "cached, %d background)\n",
-                      i + 1, sw.ElapsedMs(), tile_stats.tiles,
-                      tile_stats.swept_tiles, tile_stats.cached_tiles,
-                      tile_stats.background_tiles);
-        }
-        std::printf("cache: %llu hits, %llu misses, %zu entries, %zu "
-                    "bytes\n",
-                    static_cast<unsigned long long>(last.cache.hits),
-                    static_cast<unsigned long long>(last.cache.misses),
-                    last.cache.entries, last.cache.bytes);
-        return std::move(last.grid);
-      }
       HeatmapRequest request{BuildNnCircles(clients, facilities, metric),
                              domain, size, size, metric};
       HeatmapResponse last{HeatmapGrid(1, 1, Rect{{0, 0}, {1, 1}}),
@@ -372,15 +349,18 @@ int CmdHeatmap(const Args& args) {
       return std::move(last.grid);
     }
     if (tile_rows > 0) {
-      // Tiled raster: partition the domain, paint each tile over just the
-      // circles that can influence it, stitch — bit-identical to the
-      // untiled builder below.
+      // Tiled raster: paint each tile window as a fragment and stitch —
+      // bit-identical to the untiled builder below.
       const auto circles = BuildNnCircles(clients, facilities, metric);
-      TilePlanOptions plan_options;
-      plan_options.rows = tile_rows;
-      plan_options.cols = tile_cols;
-      const TilePlan plan(metric, circles, domain, size, size, plan_options);
-      return plan.Run(measure, threads);
+      HeatmapGrid stitched(size, size, domain, measure.Evaluate({}));
+      for (const TileWindow& window :
+           TileWindows(domain, size, size, tile_rows, tile_cols)) {
+        if (window.empty()) continue;
+        const HeatmapGrid fragment = PaintTileFragment(
+            metric, circles, measure, threads, domain, size, size, window);
+        StitchFragment(window, fragment, &stitched);
+      }
+      return stitched;
     }
     return BuildHeatmapForMetric(
         metric, BuildNnCircles(clients, facilities, metric), measure, domain,
